@@ -41,7 +41,8 @@ constexpr size_t DefaultCapacity = 1 << 14;
 
 /// Lock-free mirror of the caches' capacity, read on every feasible() /
 /// projectVars() call.  Going through LruCache::capacity() would take the
-/// cache mutex even when memoization is disabled, serializing the workers.
+/// cache mutex even when memoization is disabled, serializing concurrent
+/// queries.
 std::atomic<size_t> CapacityKnob{DefaultCapacity};
 
 LruCache<bool> &feasCache() {

@@ -30,6 +30,7 @@
 #include "presburger/VarTable.h"
 #include "support/BigInt.h"
 
+#include <functional>
 #include <initializer_list>
 #include <iterator>
 #include <stdexcept>
@@ -365,13 +366,14 @@ inline bool isWildcardName(const std::string &Name) {
 /// RAII: routes freshWildcard() on the calling thread into a private
 /// namespace "$<Prefix>x0, $<Prefix>x1, ...".
 ///
-/// This is the determinism backbone of the parallel pipeline (DESIGN.md
-/// §8): a fan-out gives every independent work item its own scope whose
-/// prefix depends only on the item's position in the fan-out tree, never
-/// on which thread runs it or in what order — so the names an item mints
-/// are identical whether the batch runs serially or on the worker pool.
-/// Scopes nest (the previous scope is restored on destruction) and are
-/// cheap enough to enter per work item.
+/// This upholds the naming invariant (DESIGN.md §8): the wildcard names a
+/// query mints — and so, since orderings are name-based, its printed
+/// answer — must not depend on process history.  Outside a scope, names
+/// come from a process-wide counter, so every work item of a query runs
+/// under a scope named by its position (forEachDisjunct), and every
+/// memoized computation under a pinned one.  Scopes nest (the previous
+/// scope is restored on destruction) and are cheap enough to enter per
+/// work item.
 class WildcardScope {
 public:
   explicit WildcardScope(const std::string &Prefix);
@@ -383,13 +385,16 @@ private:
   void *State; ///< Opaque ScopeState, chained to the previous scope.
 };
 
-/// True iff a WildcardScope is active on the calling thread (i.e. we are
-/// inside a fan-out work item or a memoized computation).
-bool wildcardScopeActive();
-
-/// Allocates the next deterministic fan-out batch prefix: scope-local when
-/// a scope is active ("<scope>b<k>"), otherwise process-global ("g<k>").
+/// Allocates the next batch prefix: scope-local when a scope is active
+/// ("<scope>b<k>"), otherwise process-global ("g<k>").
 std::string nextWildcardBatchPrefix();
+
+/// Runs Fn(0..N-1) in index order, item I under WildcardScope(Base + "t" +
+/// I) for one fresh batch prefix Base.  The per-item disjunct loops of the
+/// pipeline (DNF clauses, splinter groups, per-clause summations) go
+/// through here so the names an item mints come from its position, not
+/// from the process-wide counter.
+void forEachDisjunct(size_t N, const std::function<void(size_t)> &Fn);
 
 /// Resets the process-global wildcard and batch counters to zero so a
 /// repeated run mints identical names.  Test/bench hook only: existing

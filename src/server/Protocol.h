@@ -60,7 +60,6 @@ enum class MsgType : uint8_t {
 struct CountRequestMsg {
   std::string Formula;           ///< Formula text (parser syntax).
   std::vector<std::string> Vars; ///< Counted variables.
-  uint32_t Workers = 0;          ///< Fan-out width for this query.
   uint8_t Backend = 0;           ///< BackendKind, numeric.
   bool CacheEnabled = true;      ///< Participate in the shared cache.
   bool CollectStats = false;     ///< Return a per-query stats delta.
@@ -76,7 +75,7 @@ struct CountResponseMsg {
   std::string Upper;
   std::string ErrorText; ///< Diagnostic when the outcome is an error.
   std::string Backend;   ///< Which backend answered.
-  std::string StatsJson; ///< Schema-5 stats JSON when CollectStats.
+  std::string StatsJson; ///< Schema-6 stats JSON when CollectStats.
 };
 
 //===----------------------------------------------------------------------===//
@@ -117,7 +116,9 @@ enum class IoStatus {
 /// frame, not per byte; <= 0 means wait forever.
 IoStatus readFrame(int Fd, std::vector<uint8_t> &Payload, int TimeoutMs);
 
-/// Writes the length prefix and payload.  Returns Ok or Error.
+/// Writes the length prefix and payload.  Returns Ok or Error.  \p Fd must
+/// be a socket: a peer that has closed yields Error, never SIGPIPE, so no
+/// embedder needs a process-wide SIGPIPE ignore.
 IoStatus writeFrame(int Fd, const std::vector<uint8_t> &Payload);
 
 } // namespace server

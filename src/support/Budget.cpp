@@ -1,4 +1,4 @@
-//===- support/Budget.cpp - Effort budgets and cancellation --------------===//
+//===- support/Budget.cpp - Effort budgets and deadlines ----------------===//
 
 #include "support/Budget.h"
 
@@ -111,9 +111,6 @@ BudgetState::BudgetState(EffortBudget L)
       DeadlineNanos(L.DeadlineMs ? nowNanos() + L.DeadlineMs * 1000000 : 0) {}
 
 void BudgetState::trip(const std::string &Limit, const std::string &Where) {
-  // Relaxed is enough: the flag is a monotone hint observed by polling
-  // checkpoints; the throw below carries the authoritative signal.
-  Cancelled.store(true, std::memory_order_relaxed);
   pipelineStats().BudgetTrips += 1;
   traceAnnotate("budget_trip", Limit + " at " + Where);
   throw BudgetExceeded(Limit, Where);
@@ -134,8 +131,6 @@ void omega::budgetCheckpoint(const char *Where) {
   BudgetState *B = ActiveBudget.get();
   if (!B)
     return;
-  if (B->Cancelled.load(std::memory_order_relaxed))
-    throw BudgetExceeded("cancelled", Where);
   if (B->DeadlineNanos && nowNanos() > B->DeadlineNanos)
     B->trip("ms=" + std::to_string(B->Limits.DeadlineMs), Where);
 }

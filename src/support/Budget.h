@@ -1,4 +1,4 @@
-//===- support/Budget.h - Effort budgets and cancellation ------*- C++ -*-===//
+//===- support/Budget.h - Effort budgets and deadlines --------*- C++ -*-===//
 //
 // Part of OmegaCount (reproduction of Pugh, PLDI 1994).
 //
@@ -11,14 +11,12 @@
 /// splinters per elimination (§2.3.3), DNF clauses (§5.3), recursion
 /// depth (§4) — plus a wall-clock deadline.  Checks happen at the same
 /// pipeline boundaries OMEGA_VALIDATE hooks; tripping any limit throws
-/// BudgetExceeded, sets a shared cancellation token, and the thread-pool
-/// fan-out (presburger/Parallel.cpp) propagates both so workers bail at
-/// their next checkpoint and the batch's partial results are discarded.
+/// BudgetExceeded, which unwinds the query's pass and discards its partial
+/// results.
 ///
 /// Determinism contract (DESIGN.md §9): the counter limits are charged
 /// against per-instance or container-size quantities, so whether a query
-/// trips — and the partial progress visible afterwards on the calling
-/// thread — is identical across worker counts.  DeadlineMs is the one
+/// trips is a function of the query alone.  DeadlineMs is the one
 /// inherently nondeterministic knob and is excluded from determinism
 /// guarantees.
 ///
@@ -29,7 +27,6 @@
 
 #include "support/Status.h"
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -72,8 +69,7 @@ struct EffortBudget {
 };
 
 /// Thrown when an EffortBudget limit trips.  Derives from std::exception
-/// so ThreadPool::run's first-exception rethrow carries it back to the
-/// query's calling thread.
+/// so the tools' and omegad's catch-all handlers report it as a diagnostic.
 class BudgetExceeded : public std::runtime_error {
 public:
   BudgetExceeded(std::string Limit, std::string Where)
@@ -90,17 +86,13 @@ public:
   }
 };
 
-/// Shared state of one active budget: the limits plus the cancellation
-/// token every worker observes.
+/// State of one active budget: the limits plus the resolved deadline.
+/// Every member is const, so the struct needs no mutex and no
+/// OMEGA_GUARDED_BY annotations (DESIGN.md §13).
 struct BudgetState {
   explicit BudgetState(EffortBudget Limits);
 
   const EffortBudget Limits;
-  /// Set by whichever checkpoint trips first; all other participants
-  /// observe it at their next checkpoint and bail.  A lone atomic flag
-  /// (plus const limits) is this struct's whole shared state, so it needs
-  /// no mutex and no OMEGA_GUARDED_BY annotations (DESIGN.md §13).
-  std::atomic<bool> Cancelled{false};
   /// Steady-clock expiry in nanoseconds since epoch; 0 when no deadline.
   const uint64_t DeadlineNanos;
 
@@ -109,9 +101,7 @@ struct BudgetState {
 };
 
 /// Installs \p State as this thread's active budget for the scope's
-/// lifetime (restores the previous one on exit).  The fan-out in
-/// presburger/Parallel.cpp re-installs the caller's active budget inside
-/// each worker task, so checkpoints fire on every thread of a query.
+/// lifetime (restores the previous one on exit).
 class BudgetScope {
 public:
   explicit BudgetScope(std::shared_ptr<BudgetState> State);
@@ -127,15 +117,15 @@ private:
 /// This thread's active budget, or null when none is installed.
 const std::shared_ptr<BudgetState> &activeBudget();
 
-/// Cheap cancellation + deadline check; call at pipeline boundaries.
-/// Throws BudgetExceeded when the shared token is set or the deadline has
-/// passed.  No-op without an active budget.
+/// Cheap deadline check; call at pipeline boundaries.  Throws
+/// BudgetExceeded when the deadline has passed.  No-op without an active
+/// budget.
 void budgetCheckpoint(const char *Where);
 
 /// Charge helpers: each checks one knob against a current magnitude and
 /// trips (throws) when the limit is exceeded.  All are no-ops without an
-/// active budget, and all begin with a budgetCheckpoint so cancellation
-/// propagates even when the local quantity is within limits.
+/// active budget, and all begin with a budgetCheckpoint so the deadline
+/// is observed even when the local quantity is within limits.
 void chargeSplinters(uint64_t Count, const char *Where);
 void chargeClauses(uint64_t Count, const char *Where);
 void chargeDepth(uint64_t Depth, const char *Where);

@@ -1,7 +1,8 @@
 //===- tests/ServerTest.cpp - omegad server subsystem tests --------------===//
 //
 // Four layers of coverage for src/server/: the wire protocol (round-trip,
-// hostile-input rejection at every truncation point), framed socket I/O,
+// hostile-input rejection at every truncation point), framed socket I/O
+// (including a write to a vanished peer with SIGPIPE at its default),
 // the RequestQueue admission policy, and a real Server on a temp AF_UNIX
 // socket — concurrent clients receiving bit-identical answers vs direct
 // countSolutions, malformed-frame rejection that leaves the server
@@ -25,6 +26,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <string>
 #include <sys/socket.h>
@@ -46,7 +48,6 @@ CountRequestMsg sampleRequest() {
   CountRequestMsg M;
   M.Formula = "1 <= i && i <= 10 && 1 <= j && j <= i";
   M.Vars = {"i", "j"};
-  M.Workers = 4;
   M.Backend = static_cast<uint8_t>(BackendKind::Auto);
   M.CacheEnabled = false;
   M.CollectStats = true;
@@ -61,7 +62,6 @@ TEST(Protocol, CountRequestRoundTrip) {
   ASSERT_TRUE(decodeCountRequest(Bytes, Out));
   EXPECT_EQ(Out.Formula, M.Formula);
   EXPECT_EQ(Out.Vars, M.Vars);
-  EXPECT_EQ(Out.Workers, M.Workers);
   EXPECT_EQ(Out.Backend, M.Backend);
   EXPECT_EQ(Out.CacheEnabled, M.CacheEnabled);
   EXPECT_EQ(Out.CollectStats, M.CollectStats);
@@ -75,7 +75,7 @@ TEST(Protocol, CountResponseRoundTrip) {
   M.Upper = "15";
   M.ErrorText = "clauses=1";
   M.Backend = "pugh";
-  M.StatsJson = "{\"schema\": 5}";
+  M.StatsJson = "{\"schema\": 6}";
   std::vector<uint8_t> Bytes = encodeCountResponse(M);
   CountResponseMsg Out;
   ASSERT_TRUE(decodeCountResponse(Bytes, Out));
@@ -186,6 +186,21 @@ TEST(Framing, TruncatedFrameIsErrorNotEof) {
   SP.A = -1;
   std::vector<uint8_t> Got;
   EXPECT_EQ(readFrame(SP.B, Got, 1000), IoStatus::Error);
+}
+
+TEST(Framing, WriteToClosedPeerIsErrorNotSigpipe) {
+  // SIGPIPE at its default disposition for the duration: a write that
+  // raised it would kill this process instead of returning Error.
+  struct sigaction Dfl {}, Old {};
+  Dfl.sa_handler = SIG_DFL;
+  sigemptyset(&Dfl.sa_mask);
+  ASSERT_EQ(::sigaction(SIGPIPE, &Dfl, &Old), 0);
+  SocketPair SP;
+  ASSERT_GE(SP.A, 0);
+  ::close(SP.B);
+  SP.B = -1;
+  EXPECT_EQ(writeFrame(SP.A, encodeEmpty(MsgType::Ping)), IoStatus::Error);
+  ::sigaction(SIGPIPE, &Old, nullptr);
 }
 
 TEST(Framing, TimeoutWhenPeerSilent) {
@@ -355,6 +370,28 @@ TEST(ServerEndToEnd, MalformedFrameRejectedServerSurvives) {
     ::close(Fd);
   }
   {
+    // An old-layout request, still carrying the retired u32 fan-out width
+    // after the counted variables, is refused and dropped likewise.
+    CountRequestMsg M;
+    M.Formula = "1 <= i && i <= 10";
+    M.Vars = {"i"};
+    std::vector<uint8_t> Old = encodeCountRequest(M);
+    size_t After = 1 + 4 + M.Formula.size() + 4;
+    for (const std::string &V : M.Vars)
+      After += 4 + V.size();
+    Old.insert(Old.begin() + After, {4, 0, 0, 0});
+    int Fd = connectTo(Opts.SocketPath);
+    ASSERT_GE(Fd, 0);
+    ASSERT_EQ(writeFrame(Fd, Old), IoStatus::Ok);
+    std::vector<uint8_t> Payload;
+    ASSERT_EQ(readFrame(Fd, Payload, 10000), IoStatus::Ok);
+    CountResponseMsg R;
+    ASSERT_TRUE(decodeCountResponse(Payload, R));
+    EXPECT_EQ(R.Outcome, QueryOutcome::MalformedFrame);
+    EXPECT_EQ(readFrame(Fd, Payload, 10000), IoStatus::Eof);
+    ::close(Fd);
+  }
+  {
     // An oversized length prefix is answered then dropped likewise.
     int Fd = connectTo(Opts.SocketPath);
     ASSERT_GE(Fd, 0);
@@ -494,8 +531,8 @@ TEST(ServerEndToEnd, PingStatsAndPerClientCounters) {
   M.CollectStats = true;
   CountResponseMsg R = roundTrip(Fd, M);
   EXPECT_EQ(R.Outcome, QueryOutcome::Exact);
-  EXPECT_NE(R.StatsJson.find("\"schema\": 5"), std::string::npos)
-      << "per-query stats delta should be schema-5 JSON: " << R.StatsJson;
+  EXPECT_NE(R.StatsJson.find("\"schema\": 6"), std::string::npos)
+      << "per-query stats delta should be schema-6 JSON: " << R.StatsJson;
 
   ASSERT_EQ(writeFrame(Fd, encodeEmpty(MsgType::StatsRequest)),
             IoStatus::Ok);
@@ -521,12 +558,11 @@ TEST(ServerEndToEnd, GracefulShutdownDrainsInFlight) {
   int Fd = connectTo(Opts.SocketPath);
   ASSERT_GE(Fd, 0);
   CountRequestMsg M;
-  // A multi-clause query with fan-out: enough work that admission is
-  // observable before the answer lands.
+  // A multi-clause query: enough work that admission is observable before
+  // the answer lands.
   M.Formula = "(1 <= i && i <= 50 && 1 <= j && j <= i) || "
               "(60 <= i && i <= 90 && 1 <= j && j <= 40)";
   M.Vars = {"i", "j"};
-  M.Workers = 2;
   ASSERT_EQ(writeFrame(Fd, encodeCountRequest(M)), IoStatus::Ok);
 
   // Wait until the query is admitted (the counter is monotonic, so this

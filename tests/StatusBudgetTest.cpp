@@ -1,23 +1,21 @@
 //===- tests/StatusBudgetTest.cpp - Error channel & effort budgets -------===//
 //
 // Covers support/Status.h (Error, Result), support/Budget.h (parse,
-// relaxed, trip/cancellation semantics), the Formula::tryEvaluate typed
-// error for quantifiers, and the §4.6 degradation contract of
+// relaxed, trip semantics), the Formula::tryEvaluate typed error for
+// quantifiers, and the §4.6 degradation contract of
 // countSolutionsBudgeted: exact under a generous budget, certified
-// lower/upper bounds under a tiny one, identical across worker counts.
+// lower/upper bounds under a tiny one.
 //
 //===----------------------------------------------------------------------===//
 
 #include "counting/Summation.h"
 #include "presburger/Parser.h"
 #include "support/Budget.h"
-#include "support/QueryContext.h"
 #include "support/Status.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <sstream>
 #include <thread>
 
 using namespace omega;
@@ -105,10 +103,10 @@ TEST(BudgetTest, RelaxedScalesOnlySetKnobs) {
 }
 
 //===----------------------------------------------------------------------===//
-// Trip and cancellation semantics
+// Trip semantics
 //===----------------------------------------------------------------------===//
 
-TEST(BudgetTest, ChargeTripsAndSetsToken) {
+TEST(BudgetTest, ChargeTripsOnlyPastLimit) {
   EffortBudget B;
   B.MaxSplintersPerElimination = 2;
   auto State = std::make_shared<BudgetState>(B);
@@ -122,11 +120,10 @@ TEST(BudgetTest, ChargeTripsAndSetsToken) {
     EXPECT_EQ(E.Where, "test");
     EXPECT_EQ(E.toError().Kind, ErrorKind::BudgetExhausted);
   }
-  // The shared token is now set: every later checkpoint bails, even ones
-  // that would be within their own limit.
-  EXPECT_TRUE(State->Cancelled.load());
-  EXPECT_THROW(budgetCheckpoint("elsewhere"), BudgetExceeded);
-  EXPECT_THROW(chargeSplinters(1, "elsewhere"), BudgetExceeded);
+  // A trip leaves no sticky state behind: the throw alone unwinds the
+  // pass, and checks within their limits keep passing.
+  EXPECT_NO_THROW(budgetCheckpoint("elsewhere"));
+  EXPECT_NO_THROW(chargeSplinters(1, "elsewhere"));
 }
 
 TEST(BudgetTest, CheckpointIsNoOpWithoutBudget) {
@@ -225,25 +222,15 @@ TEST(BudgetedCountTest, SymbolicBoundsBracketTruth) {
   }
 }
 
-TEST(BudgetedCountTest, DegradedOutputIdenticalAcrossWorkerCounts) {
+TEST(BudgetedCountTest, DegradedOutputUnderDepthBudget) {
   const char *Text = "(1 <= i <= n && 2*i <= 3*j && 1 <= j <= n)"
                      " || (n < i <= 2*n && j = i)"
                      " || (1 <= i <= 4 && 5 <= j <= 9)";
   EffortBudget B;
   B.MaxRecursionDepth = 1;
-  std::vector<std::string> Renderings;
-  for (unsigned Workers : {0u, 1u, 4u}) {
-    QueryContext Ctx;
-    Ctx.Workers = Workers;
-    QueryContextScope Scope(Ctx);
-    BudgetedCount BC = countSolutionsBudgeted(parseOk(Text), {"i", "j"}, B);
-    EXPECT_EQ(BC.Status, CountStatus::Bounded) << Workers << " workers";
-    std::ostringstream OS;
-    OS << BC.TrippedLimit << " | " << BC.Lower << " | " << BC.Upper;
-    Renderings.push_back(OS.str());
-  }
-  EXPECT_EQ(Renderings[0], Renderings[1]);
-  EXPECT_EQ(Renderings[0], Renderings[2]);
+  BudgetedCount BC = countSolutionsBudgeted(parseOk(Text), {"i", "j"}, B);
+  EXPECT_EQ(BC.Status, CountStatus::Bounded);
+  EXPECT_EQ(BC.TrippedLimit, "depth=1");
 }
 
 TEST(BudgetedCountTest, ParseLiteralGuardUnderBudget) {

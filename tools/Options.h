@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The flags every pipeline tool shares — --workers, --cache/--no-cache,
-/// --budget, --stats, --trace, --trace-summary — parsed once, into a
+/// The flags every pipeline tool shares — --cache/--no-cache, --budget,
+/// --stats, --trace, --trace-summary — parsed once, into a
 /// CountOptions.  omegacount, omegalint, and bench_pipeline each call
 /// parseSharedOption() from their argv loop so the flags behave (and are
 /// documented) identically everywhere; tool-specific flags stay in the
@@ -52,9 +52,7 @@ struct ToolOptions {
 /// The shared block for --help texts (one string so the tools cannot
 /// drift apart).
 inline const char *sharedOptionsHelp() {
-  return "  --workers N      worker threads for disjunct fan-out "
-         "(0 = serial)\n"
-         "  --cache N        conjunct cache capacity (entries); "
+  return "  --cache N        conjunct cache capacity (entries); "
          "--no-cache disables\n"
          "  --budget SPEC    effort budget, e.g. "
          "\"bits=64,splinters=32,clauses=256,depth=24,ms=5000\";\n"
@@ -107,9 +105,7 @@ parseSharedOption(int Argc, char **Argv, int &I, ToolOptions &Opts,
            " (expected pugh, automaton, enumerate, or auto)");
     Opts.HaveBackend = true;
   };
-  if (Arg == "--workers") {
-    Opts.Count.Workers = static_cast<unsigned>(NextCount());
-  } else if (Arg == "--backend") {
+  if (Arg == "--backend") {
     SetBackend(Next());
   } else if (Arg.rfind("--backend=", 0) == 0) {
     SetBackend(Arg.substr(10));
@@ -150,7 +146,6 @@ public:
   explicit ToolQueryScope(const ToolOptions &Opts) {
     Block.Arith.CountOps.store(Opts.Count.CountArithOps,
                                std::memory_order_relaxed);
-    Ctx.Workers = Opts.Count.Workers;
     Ctx.CacheEnabled = Opts.Count.CacheEnabled;
     Ctx.Stats = &Block;
     if (Opts.Count.CacheEnabled &&

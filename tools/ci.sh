@@ -28,6 +28,7 @@ run_matrix() {
   server_leg "$dir"
   bench_leg "$dir"
   trace_leg "$dir"
+  perfbench_leg "$dir"
 }
 
 # Server leg: omegad end to end in every configuration (so the wire
@@ -56,7 +57,7 @@ server_leg() {
   "$dir/tools/omegaclient" --socket "$sock" --batch "$list" --check \
     --connections 4 >/dev/null
   "$dir/tools/omegaclient" --socket "$sock" --stats \
-    | grep -q '"schema": 5' || {
+    | grep -q '"schema": 6' || {
       echo "server: stats reply missing pipeline schema" >&2; exit 1; }
   kill -TERM "$pid"
   code=0; wait "$pid" || code=$?
@@ -139,10 +140,11 @@ assert arith["checks_passed"], "bench_arith self-checks failed"
 assert arith["small_allocations_total"] == 0, "small path allocated"
 assert arith["small_spills_total"] == 0, "small path spilled"
 assert all(s["checksum_ok"] for s in arith["sections"])
-assert pipe["schema"] == 5, "bench_pipeline JSON schema drifted"
+assert pipe["schema"] == 6, "bench_pipeline JSON schema drifted"
 assert pipe["answers_identical"], "bench_pipeline answers diverged"
-assert len(pipe["configs"]) == 5
-assert all(c["stats"]["schema"] == 5 for c in pipe["configs"])
+assert len(pipe["configs"]) == 3
+assert all(c["stats"]["schema"] == 6 for c in pipe["configs"])
+assert "speedup_workers" not in pipe, "bench_pipeline still reports workers"
 # Coalesce gates (quick run, deterministic counters): the indexed worklist
 # must beat the committed pre-index baseline by the ISSUE's bars on the
 # full-scale bench; on the quick bench the counters are deterministic, so
@@ -155,20 +157,11 @@ assert pairs > 0, "coalesce saw no candidate pairs"
 assert serial["coalesce_prefiltered"] >= serial["coalesce_pairs"], \
     f"prefilter rejected {serial['coalesce_prefiltered']}/{pairs} pairs " \
     "(want a majority; the clause index is not pruning)"
-# speedup_workers is either a real >=4-core measurement or an explicit
-# null + reason; a number from a narrower host is the bug PR 8 fixed.
-if pipe["hardware_concurrency"] >= 4:
-    assert isinstance(pipe["speedup_workers"], (int, float)), \
-        "speedup_workers missing on a >=4-core host"
-else:
-    assert pipe["speedup_workers"] is None, \
-        "speedup_workers reported from a <4-core host"
-    assert "< 4" in pipe["speedup_workers_skip_reason"]
 # The committed full-scale BENCH_pipeline.json must clear the ISSUE's
 # bars against the pre-index baseline recorded inside it: >= 3x less
 # coalesce wall time, >= 5x fewer feasibility tests, identical answers.
 full = json.load(open(sys.argv[5]))
-assert full["schema"] == 5 and full["answers_identical"]
+assert full["schema"] == 6 and full["answers_identical"]
 base = full["baseline"]
 fserial = next(c["stats"] for c in full["configs"]
                if c["name"] == "serial-nocache")
@@ -261,16 +254,14 @@ abort_free_leg() {
   # Tiny budget forced to exhaust over the example formulas: degraded
   # answers are still answers, so the exit code must be 0.
   for ex in "$root"/examples/formulas/*.presburger; do
-    for workers in 0 4; do
-      code=0
-      "$count" --file "$ex" --budget=clauses=1,depth=1 \
-        --workers "$workers" >/dev/null 2>&1 || code=$?
-      if [ "$code" -ne 0 ]; then
-        echo "abort-free: $ex: budget-starved omegacount exited $code" \
-             "(want 0, workers=$workers)" >&2
-        exit 1
-      fi
-    done
+    code=0
+    "$count" --file "$ex" --budget=clauses=1,depth=1 >/dev/null 2>&1 \
+      || code=$?
+    if [ "$code" -ne 0 ]; then
+      echo "abort-free: $ex: budget-starved omegacount exited $code" \
+           "(want 0)" >&2
+      exit 1
+    fi
   done
   echo "=== abort-free: $dir clean"
 }
@@ -295,15 +286,12 @@ trace_leg() {
   mkdir -p "$out"
   for ex in "$root"/examples/formulas/*.presburger; do
     name=$(basename "$ex" .presburger)
-    for workers in 0 1 4; do
-      "$count" --file "$ex" --workers "$workers" --trace-summary \
-        --trace "$out/$name-w$workers.trace.json" \
-        >/dev/null 2>"$out/$name-w$workers.summary.txt"
-    done
+    "$count" --file "$ex" --trace-summary --trace "$out/$name.trace.json" \
+      >/dev/null 2>"$out/$name.summary.txt"
   done
   for phase in simplify toDNF crossConjoin projectVars splinter \
                makeDisjoint coalesce summation snfReparam; do
-    if ! grep -q "$phase" "$out/figure1-w0.summary.txt"; then
+    if ! grep -q "$phase" "$out/figure1.summary.txt"; then
       echo "trace: phase $phase missing from summary" >&2
       exit 1
     fi
@@ -349,6 +337,23 @@ PYEOF
     echo "trace: overhead gate noisy, retrying ($attempts left)"
   done
   echo "=== trace: $dir clean"
+}
+
+# Perfbench leg (default configuration only): the benchmark's own smoke
+# test — every workload briefly, untraced and traced, with every answer
+# checked against its brute-force oracle.  The omegad-open workload also
+# compares each wire answer with the in-process one, which catches answers
+# that depend on what the process counted before.
+perfbench_leg() {
+  dir=$1
+  case $dir in *-default) ;; *) return 0 ;; esac
+  echo "=== perfbench: smoke"
+  if ! command -v python3 >/dev/null 2>&1; then
+    echo "perfbench: python3 unavailable, leg skipped"
+    return 0
+  fi
+  python3 "$root/perfbench/test_smoke.py"
+  echo "=== perfbench: clean"
 }
 
 # Analyze leg: the static-analysis gate (README "Static analysis").
@@ -404,18 +409,18 @@ analyze_leg
 run_matrix "$prefix-hardened" \
   -DOMEGA_VALIDATE=ON "-DOMEGA_SANITIZE=address;undefined"
 
-# Parallel: worker pool + validation, under ThreadSanitizer when the
-# toolchain supports it (probe with a trivial compile; TSan is absent from
-# some gcc builds), plain otherwise.  Either way the determinism and fuzz
-# suites run with the parallel code paths compiled in.
+# TSan: validation under ThreadSanitizer when the toolchain supports it
+# (probe with a trivial compile; TSan is absent from some gcc builds),
+# plain otherwise.  Queries are single-threaded, but omegad sessions, the
+# shared conjunct cache and the variable intern table are still shared
+# across concurrent queries.
 tsan_flags=""
 if printf 'int main(){return 0;}\n' | \
    ${CXX:-c++} -fsanitize=thread -x c++ - -o /dev/null 2>/dev/null; then
   tsan_flags="-DOMEGA_SANITIZE=thread"
 else
-  echo "=== ci: ThreadSanitizer unavailable, running parallel leg unsanitized"
+  echo "=== ci: ThreadSanitizer unavailable, running tsan leg unsanitized"
 fi
-run_matrix "$prefix-parallel" \
-  -DOMEGA_PARALLEL=ON -DOMEGA_VALIDATE=ON $tsan_flags
+run_matrix "$prefix-tsan" -DOMEGA_VALIDATE=ON $tsan_flags
 
 echo "=== ci: all configurations green"

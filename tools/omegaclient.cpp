@@ -22,7 +22,6 @@
 //   --connections N     concurrent connections replaying the set
 //   --repeat N          send the query set N times per connection
 //   --check             recompute in-process and compare answers
-//   --workers N         per-query fan-out request
 //   --no-cache          opt this query out of the shared cache
 //   --budget SPEC       effort budget (e.g. "splinters=8,clauses=64")
 //   --backend NAME      pugh | automaton | enumerate | auto
@@ -187,8 +186,6 @@ int main(int Argc, char **Argv) {
       Repeat = std::max(1, std::atoi(Next().c_str()));
     else if (Arg == "--check")
       Check = true;
-    else if (Arg == "--workers")
-      Proto.Workers = std::max(0, std::atoi(Next().c_str()));
     else if (Arg == "--no-cache")
       Proto.CacheEnabled = false;
     else if (Arg == "--budget")
@@ -322,7 +319,6 @@ int main(int Argc, char **Argv) {
         Q.F = *PR.Value;
         Q.Vars = VarSet(M.Vars.begin(), M.Vars.end());
         Q.Opts.Backend = static_cast<BackendKind>(M.Backend);
-        Q.Opts.Workers = M.Workers;
         Q.Opts.CacheEnabled = M.CacheEnabled;
         if (!M.Budget.empty()) {
           Result<EffortBudget> B = EffortBudget::parse(M.Budget);

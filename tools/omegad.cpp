@@ -6,8 +6,8 @@
 //
 // Listens on a local AF_UNIX socket for length-prefixed binary count
 // requests (src/server/Protocol.h), executes them concurrently on
-// per-connection sessions with the shared worker pool and one persistent
-// conjunct cache, and applies budgeted admission control: past the soft
+// per-connection sessions sharing one persistent conjunct cache, and
+// applies budgeted admission control: past the soft
 // in-flight limit queries run under the shed budget (degrading to
 // certified bounds fast), past the hard limit they are answered
 // Overloaded without running.  See DESIGN.md §17 and README "Running
@@ -20,7 +20,6 @@
 //   --shed-budget SPEC   budget clamp for shed queries (EffortBudget
 //                        spec, e.g. "splinters=8,clauses=64"; default
 //                        a finite built-in clamp)
-//   --max-workers N      cap on client-requested per-query fan-out
 //   --cache N            shared conjunct cache capacity per kind
 //   --idle-timeout-ms N  disconnect clients idle this long (0 = never)
 //   --stats-on-exit      print the stats JSON document on shutdown
@@ -83,9 +82,7 @@ int main(int Argc, char **Argv) {
       if (!B)
         fail(B.error().toString());
       Opts.ShedBudget = *B;
-    } else if (Arg == "--max-workers")
-      Opts.MaxWorkersPerQuery = static_cast<unsigned>(NextUnsigned());
-    else if (Arg == "--cache")
+    } else if (Arg == "--cache")
       Opts.CacheCapacity = NextUnsigned();
     else if (Arg == "--idle-timeout-ms")
       Opts.IdleTimeoutMs = static_cast<int>(NextUnsigned());
@@ -98,7 +95,6 @@ int main(int Argc, char **Argv) {
              "  --hard-limit N       hard in-flight limit (default 4x "
              "soft)\n"
              "  --shed-budget SPEC   budget clamp for shed queries\n"
-             "  --max-workers N      cap on per-query fan-out (default 8)\n"
              "  --cache N            conjunct cache capacity (default "
              "16384)\n"
              "  --idle-timeout-ms N  idle client disconnect (default "
