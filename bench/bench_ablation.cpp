@@ -27,19 +27,19 @@ Formula coupled() {
       "1 <= a <= n && a <= b <= n && b <= c <= n && a + c <= n + 2");
 }
 
-size_t termsWith(const Formula &F, const VarSet &Vars, SumOptions Opts) {
-  PiecewiseValue V = countSolutions(F, Vars, Opts);
-  return V.pieces().size();
+size_t termsWith(const Formula &F, const VarSet &Vars,
+                 const CountOptions &Opts) {
+  return countSolutions(F, Vars, Opts).Value.pieces().size();
 }
 
 void report() {
   reportHeader("X18", "ablations of the paper's two concluding advices");
-  SumOptions Full;
-  SumOptions NoRedund;
+  CountOptions Full;
+  CountOptions NoRedund;
   NoRedund.EliminateRedundant = false;
-  SumOptions FixedOrder;
+  CountOptions FixedOrder;
   FixedOrder.FreeVariableOrder = false;
-  SumOptions Neither;
+  CountOptions Neither;
   Neither.EliminateRedundant = false;
   Neither.FreeVariableOrder = false;
 
@@ -71,21 +71,21 @@ void report() {
     for (int64_t M = 0; M <= 6 && Agree; ++M) {
       Assignment A{{"n", BigInt(N)}, {"m", BigInt(M)}};
       Rational R = countSolutions(example1(), {"i", "j", "k"}, Full)
-                       .evaluate(A);
+                       .Value.evaluate(A);
       Agree = R == countSolutions(example1(), {"i", "j", "k"}, Neither)
-                       .evaluate(A);
+                       .Value.evaluate(A);
     }
   reportRow("ablated engines still produce correct values", "yes",
             Agree ? "yes" : "no");
 }
 
 void BM_Ablation(benchmark::State &State) {
-  SumOptions Opts;
+  CountOptions Opts;
   Opts.EliminateRedundant = State.range(0) & 1;
   Opts.FreeVariableOrder = State.range(0) & 2;
   Formula F = coupled();
   for (auto _ : State) {
-    PiecewiseValue V = countSolutions(F, {"a", "b", "c"}, Opts);
+    PiecewiseValue V = countSolutions(F, {"a", "b", "c"}, Opts).Value;
     benchmark::DoNotOptimize(V);
   }
 }

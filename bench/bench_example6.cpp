@@ -19,7 +19,7 @@ void report() {
   reportHeader("X13", "Example 6: (Σ i,j : 1<=i, j<=n, 2i<=3j : 1)");
   Formula F =
       parseFormulaOrDie("1 <= i && 1 <= j && j <= n && 2*i <= 3*j");
-  PiecewiseValue V = countSolutions(F, {"i", "j"});
+  PiecewiseValue V = countSolutions(F, {"i", "j"}).Value;
   reportRow("symbolic", "(3n^2 + 2n - n mod 2)/4 for n >= 1",
             V.toString());
   bool Match = true;
@@ -34,9 +34,9 @@ void report() {
             V.evaluateInt({{"n", BigInt(100)}}).toString());
 
   // The SymbolicMod strategy reproduces the compact mod-atom form.
-  SumOptions Sym;
+  CountOptions Sym;
   Sym.Strategy = BoundStrategy::SymbolicMod;
-  PiecewiseValue VS = countSolutions(F, {"i", "j"}, Sym);
+  PiecewiseValue VS = countSolutions(F, {"i", "j"}, Sym).Value;
   reportRow("mod-atom form", "-", VS.toString());
   bool Match2 = true;
   for (int64_t N = 0; N <= 50; ++N)
@@ -49,7 +49,7 @@ void BM_Example6Splinter(benchmark::State &State) {
   Formula F =
       parseFormulaOrDie("1 <= i && 1 <= j && j <= n && 2*i <= 3*j");
   for (auto _ : State) {
-    PiecewiseValue V = countSolutions(F, {"i", "j"});
+    PiecewiseValue V = countSolutions(F, {"i", "j"}).Value;
     benchmark::DoNotOptimize(V);
   }
 }
@@ -58,10 +58,10 @@ BENCHMARK(BM_Example6Splinter)->Unit(benchmark::kMillisecond);
 void BM_Example6SymbolicMod(benchmark::State &State) {
   Formula F =
       parseFormulaOrDie("1 <= i && 1 <= j && j <= n && 2*i <= 3*j");
-  SumOptions Opts;
+  CountOptions Opts;
   Opts.Strategy = BoundStrategy::SymbolicMod;
   for (auto _ : State) {
-    PiecewiseValue V = countSolutions(F, {"i", "j"}, Opts);
+    PiecewiseValue V = countSolutions(F, {"i", "j"}, Opts).Value;
     benchmark::DoNotOptimize(V);
   }
 }

@@ -19,30 +19,31 @@ void report() {
   reportHeader("X1", "intro table of simple summations (§1)");
   {
     PiecewiseValue V = countSolutions(parseFormulaOrDie("1 <= i <= 10"),
-                                      {"i"});
+                                      {"i"}).Value;
     reportRow("(Σ i : 1<=i<=10 : 1)", "10", V.evaluateInt({}).toString());
   }
   {
     PiecewiseValue V = countSolutions(parseFormulaOrDie("1 <= i <= n"),
-                                      {"i"});
+                                      {"i"}).Value;
     reportRow("(Σ i : 1<=i<=n : 1), symbolic", "(n if n>=1)", V.toString());
   }
   {
-    PiecewiseValue V = sumOverFormula(parseFormulaOrDie("1 <= i <= n"),
-                                      {"i"}, QuasiPolynomial::variable("i"));
+    PiecewiseValue V = sumPolynomial(parseFormulaOrDie("1 <= i <= n"), {"i"},
+                                     QuasiPolynomial::variable("i"))
+                           .Value;
     reportRow("(Σ i : 1<=i<=n : i) at n=10", "55",
               V.evaluateInt({{"n", BigInt(10)}}).toString());
     reportRow("  symbolic", "(n(n+1)/2 if n>=1)", V.toString());
   }
   {
     PiecewiseValue V = countSolutions(parseFormulaOrDie("1 <= i,j <= n"),
-                                      {"i", "j"});
+                                      {"i", "j"}).Value;
     reportRow("(Σ i,j : 1<=i,j<=n : 1), symbolic", "(n^2 if n>=1)",
               V.toString());
   }
   {
     PiecewiseValue V = countSolutions(
-        parseFormulaOrDie("1 <= i && i < j && j <= n"), {"i", "j"});
+        parseFormulaOrDie("1 <= i && i < j && j <= n"), {"i", "j"}).Value;
     reportRow("(Σ i,j : 1<=i<j<=n : 1) at n=7", "21",
               V.evaluateInt({{"n", BigInt(7)}}).toString());
     reportRow("  symbolic", "(n(n-1)/2 if n>=2)", V.toString());
@@ -50,7 +51,7 @@ void report() {
 
   reportHeader("X2", "the Mathematica pitfall (§1)");
   Formula F = parseFormulaOrDie("1 <= i <= n && i <= j <= m");
-  PiecewiseValue Ours = countSolutions(F, {"i", "j"});
+  PiecewiseValue Ours = countSolutions(F, {"i", "j"}).Value;
   Conjunct C;
   C.add(Constraint::ge(AffineExpr::variable("i") - AffineExpr(1)));
   C.add(Constraint::ge(AffineExpr::variable("n") -
@@ -77,7 +78,7 @@ void report() {
 void BM_CountTriangle(benchmark::State &State) {
   Formula F = parseFormulaOrDie("1 <= i && i < j && j <= n");
   for (auto _ : State) {
-    PiecewiseValue V = countSolutions(F, {"i", "j"});
+    PiecewiseValue V = countSolutions(F, {"i", "j"}).Value;
     benchmark::DoNotOptimize(V);
   }
 }
@@ -86,7 +87,7 @@ BENCHMARK(BM_CountTriangle);
 void BM_CountPitfall(benchmark::State &State) {
   Formula F = parseFormulaOrDie("1 <= i <= n && i <= j <= m");
   for (auto _ : State) {
-    PiecewiseValue V = countSolutions(F, {"i", "j"});
+    PiecewiseValue V = countSolutions(F, {"i", "j"}).Value;
     benchmark::DoNotOptimize(V);
   }
 }
@@ -94,7 +95,7 @@ BENCHMARK(BM_CountPitfall);
 
 void BM_EvaluateSymbolicAnswer(benchmark::State &State) {
   Formula F = parseFormulaOrDie("1 <= i <= n && i <= j <= m");
-  PiecewiseValue V = countSolutions(F, {"i", "j"});
+  PiecewiseValue V = countSolutions(F, {"i", "j"}).Value;
   Assignment A{{"n", BigInt(1000)}, {"m", BigInt(777)}};
   for (auto _ : State) {
     Rational R = V.evaluate(A);

@@ -37,58 +37,20 @@
 #include "presburger/VarTable.h"
 #include "support/BigInt.h"
 
-#include <atomic>
+#include "AllocCounter.h"
+
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
 using namespace omega;
 
-//===----------------------------------------------------------------------===//
-// Allocation-counting harness (same shape as bench_arith)
-//===----------------------------------------------------------------------===//
-
 namespace {
-std::atomic<bool> CountAllocs{false};
-std::atomic<uint64_t> AllocCount{0};
-} // namespace
-
-// This *is* the global allocator (the zero-allocation gate counts every
-// heap call through it), so malloc/free here are the implementation, not
-// a leak hazard.  omegatidy: allow(naked-new)
-void *operator new(std::size_t N) {
-  if (CountAllocs.load(std::memory_order_relaxed))
-    AllocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(N ? N : 1)) // omegatidy: allow(naked-new)
-    return P;
-  throw std::bad_alloc();
-}
-void *operator new[](std::size_t N) { return ::operator new(N); }
-// The operator delete overloads forward straight to free.
-void operator delete(void *P) noexcept { std::free(P); } // omegatidy: allow(naked-new)
-void operator delete(void *P, std::size_t) noexcept { std::free(P); } // omegatidy: allow(naked-new)
-void operator delete[](void *P) noexcept { std::free(P); } // omegatidy: allow(naked-new)
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); } // omegatidy: allow(naked-new)
-
-namespace {
-
-/// RAII window during which global allocations are tallied.
-struct AllocWindow {
-  uint64_t Before;
-  AllocWindow() : Before(AllocCount.load()) {
-    CountAllocs.store(true, std::memory_order_relaxed);
-  }
-  uint64_t close() {
-    CountAllocs.store(false, std::memory_order_relaxed);
-    return AllocCount.load() - Before;
-  }
-};
 
 //===----------------------------------------------------------------------===//
 // The reference model: the pre-interning expression representation

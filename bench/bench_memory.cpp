@@ -55,7 +55,7 @@ void report() {
     std::vector<Formula> Parts;
     for (const Conjunct &C : Clauses)
       Parts.push_back(Formula::fromConjunct(C));
-    PiecewiseValue Ours = countSolutions(Formula::disj(Parts), {"x"});
+    PiecewiseValue Ours = countSolutions(Formula::disj(Parts), {"x"}).Value;
     reportRow("k=" + std::to_string(K) + " inclusion-exclusion summations",
               "up to 2^k-1 = " + std::to_string((1u << K) - 1) +
                   (K == 3 ? " (paper: 7 for 3 clauses)" : ""),
@@ -101,7 +101,7 @@ void BM_UnionDisjointDNF(benchmark::State &State) {
     Parts.push_back(Formula::fromConjunct(C));
   Formula F = Formula::disj(Parts);
   for (auto _ : State) {
-    PiecewiseValue V = countSolutions(F, {"x"});
+    PiecewiseValue V = countSolutions(F, {"x"}).Value;
     benchmark::DoNotOptimize(V);
   }
 }

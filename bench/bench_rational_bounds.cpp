@@ -17,9 +17,9 @@ namespace {
 
 PiecewiseValue solveWith(BoundStrategy S) {
   Formula F = parseFormulaOrDie("1 <= i && 3*i <= n");
-  SumOptions Opts;
+  CountOptions Opts;
   Opts.Strategy = S;
-  return sumOverFormula(F, {"i"}, QuasiPolynomial::variable("i"), Opts);
+  return sumPolynomial(F, {"i"}, QuasiPolynomial::variable("i"), Opts).Value;
 }
 
 void report() {
@@ -54,11 +54,11 @@ void report() {
 void BM_Strategy(benchmark::State &State) {
   BoundStrategy S = static_cast<BoundStrategy>(State.range(0));
   Formula F = parseFormulaOrDie("1 <= i && 3*i <= n");
-  SumOptions Opts;
+  CountOptions Opts;
   Opts.Strategy = S;
   for (auto _ : State) {
     PiecewiseValue V =
-        sumOverFormula(F, {"i"}, QuasiPolynomial::variable("i"), Opts);
+        sumPolynomial(F, {"i"}, QuasiPolynomial::variable("i"), Opts).Value;
     benchmark::DoNotOptimize(V);
   }
 }
@@ -76,7 +76,7 @@ void BM_SplinterVsDivisor(benchmark::State &State) {
   Formula F = parseFormulaOrDie(Text);
   for (auto _ : State) {
     PiecewiseValue V =
-        sumOverFormula(F, {"i"}, QuasiPolynomial::variable("i"));
+        sumPolynomial(F, {"i"}, QuasiPolynomial::variable("i")).Value;
     benchmark::DoNotOptimize(V);
   }
 }
@@ -86,11 +86,11 @@ void BM_SymbolicVsDivisor(benchmark::State &State) {
   std::string Text = "1 <= i && " + std::to_string(State.range(0)) +
                      "*i <= n";
   Formula F = parseFormulaOrDie(Text);
-  SumOptions Opts;
+  CountOptions Opts;
   Opts.Strategy = BoundStrategy::SymbolicMod;
   for (auto _ : State) {
     PiecewiseValue V =
-        sumOverFormula(F, {"i"}, QuasiPolynomial::variable("i"), Opts);
+        sumPolynomial(F, {"i"}, QuasiPolynomial::variable("i"), Opts).Value;
     benchmark::DoNotOptimize(V);
   }
 }

@@ -21,7 +21,7 @@ void report() {
   reportHeader("X15", "symbolic counting vs enumeration");
   Formula F =
       parseFormulaOrDie("1 <= i && 1 <= j && j <= n && 2*i <= 3*j");
-  PiecewiseValue V = countSolutions(F, {"i", "j"});
+  PiecewiseValue V = countSolutions(F, {"i", "j"}).Value;
   for (int64_t N : {10, 100, 1000}) {
     BigInt Sym = V.evaluateInt({{"n", BigInt(N)}});
     BigInt Enum = enumerateCount(F, {"i", "j"}, {{"n", BigInt(N)}}, 0,
@@ -38,7 +38,7 @@ void BM_SymbolicOnce(benchmark::State &State) {
   Formula F =
       parseFormulaOrDie("1 <= i && 1 <= j && j <= n && 2*i <= 3*j");
   for (auto _ : State) {
-    PiecewiseValue V = countSolutions(F, {"i", "j"});
+    PiecewiseValue V = countSolutions(F, {"i", "j"}).Value;
     benchmark::DoNotOptimize(V);
   }
 }
@@ -47,7 +47,7 @@ BENCHMARK(BM_SymbolicOnce)->Unit(benchmark::kMillisecond);
 void BM_SymbolicEvaluate(benchmark::State &State) {
   Formula F =
       parseFormulaOrDie("1 <= i && 1 <= j && j <= n && 2*i <= 3*j");
-  PiecewiseValue V = countSolutions(F, {"i", "j"});
+  PiecewiseValue V = countSolutions(F, {"i", "j"}).Value;
   Assignment A{{"n", BigInt(State.range(0))}};
   for (auto _ : State) {
     BigInt R = V.evaluateInt(A);

@@ -7,7 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "counting/Summation.h"
+#include "omega/Omega.h"
 #include "presburger/Parser.h"
 
 #include <iostream>
@@ -21,8 +21,11 @@ int main() {
   //       body
   Formula Space = parseFormulaOrDie("1 <= i <= n && i <= j <= m");
 
-  // (Σ i,j : Space : 1) — how many times does the body run?
-  PiecewiseValue Count = countSolutions(Space, {"i", "j"});
+  // (Σ i,j : Space : 1) — how many times does the body run?  With default
+  // options the status is Exact (or Unbounded); a CountOptions budget may
+  // instead yield Bounded with certified R.Lower / R.Upper.
+  CountResult R = countSolutions(Space, {"i", "j"});
+  const PiecewiseValue &Count = R.Value;
 
   std::cout << "Iteration count of {1<=i<=n, i<=j<=m}:\n  " << Count << "\n\n";
 
@@ -37,7 +40,7 @@ int main() {
   // Summing a polynomial over the space: total work if iteration (i, j)
   // costs j flops.
   PiecewiseValue Work =
-      sumOverFormula(Space, {"i", "j"}, QuasiPolynomial::variable("j"));
+      sumPolynomial(Space, {"i", "j"}, QuasiPolynomial::variable("j")).Value;
   std::cout << "\nTotal flops when iteration (i,j) costs j:\n  " << Work
             << "\n";
   std::cout << "  at n=10, m=10: "
@@ -47,7 +50,7 @@ int main() {
   // Strides and quantifiers work too: how many even numbers have an odd
   // square-ish partner... count x in [1, n] with x ≡ 2 (mod 3).
   Formula Strided = parseFormulaOrDie("1 <= x <= n && 3 | x - 2");
-  PiecewiseValue C2 = countSolutions(Strided, {"x"});
+  PiecewiseValue C2 = countSolutions(Strided, {"x"}).Value;
   std::cout << "Count of x in [1,n] with x = 2 (mod 3):\n  " << C2 << "\n";
   std::cout << "  at n=10: " << C2.evaluateInt({{"n", BigInt(10)}}) << "\n";
   return 0;

@@ -88,20 +88,18 @@ bool omega::hasDependence(const LoopNest &Nest, const ArrayRef &Src,
 
 PiecewiseValue omega::countDependencePairs(const LoopNest &Nest,
                                            const ArrayRef &Src,
-                                           const ArrayRef &Dst,
-                                           SumOptions Opts) {
+                                           const ArrayRef &Dst) {
   const std::string Suffix = "_p";
   Formula F = dependencePairs(Nest, Src, Dst, Suffix);
   VarSet Vars = Nest.vars();
   for (const std::string &V : Nest.varOrder())
     Vars.insert(V + Suffix);
-  return sumOverFormula(F, Vars, QuasiPolynomial(Rational(1)), Opts);
+  return countSolutions(F, Vars).Value;
 }
 
 PiecewiseValue omega::splitCommunicationCells(
     const LoopNest &Nest, const ArrayRef &Write, const ArrayRef &Read,
-    const std::string &OuterVar, const std::string &SplitVar,
-    SumOptions Opts) {
+    const std::string &OuterVar, const std::string &SplitVar) {
   check(Write.Array == Read.Array, "communication needs a common array");
   std::vector<std::string> Vars = Nest.varOrder();
   const std::string Suffix = "_r";
@@ -132,7 +130,7 @@ PiecewiseValue omega::splitCommunicationCells(
         primeExpr(Read.Subscripts[D], Vars, Suffix))));
   Formula ReadAfter = Formula::exists(PrimedVars, Formula::conj(R));
 
-  return sumOverFormula(Written && ReadAfter,
-                        VarSet(Elems.begin(), Elems.end()),
-                        QuasiPolynomial(Rational(1)), Opts);
+  return countSolutions(Written && ReadAfter,
+                        VarSet(Elems.begin(), Elems.end()))
+      .Value;
 }

@@ -41,8 +41,7 @@ bool hasDependence(const LoopNest &Nest, const ArrayRef &Src,
 /// (Σ i,i' : dependence : 1) — the number of dependence pairs, symbolic in
 /// the nest's symbolic constants.
 PiecewiseValue countDependencePairs(const LoopNest &Nest,
-                                    const ArrayRef &Src, const ArrayRef &Dst,
-                                    SumOptions Opts = {});
+                                    const ArrayRef &Src, const ArrayRef &Dst);
 
 /// Communication volume across a pipeline split of \p OuterVar at the
 /// (symbolic) boundary \p SplitVar: counts the distinct cells of the
@@ -53,8 +52,7 @@ PiecewiseValue splitCommunicationCells(const LoopNest &Nest,
                                        const ArrayRef &Write,
                                        const ArrayRef &Read,
                                        const std::string &OuterVar,
-                                       const std::string &SplitVar,
-                                       SumOptions Opts = {});
+                                       const std::string &SplitVar);
 
 } // namespace omega
 

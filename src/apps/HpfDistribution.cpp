@@ -30,13 +30,12 @@ Formula omega::ownedBy(const BlockCyclic &Dist, const std::string &TVar,
   return Formula::exists({L, C}, Formula::conj(std::move(Parts)));
 }
 
-PiecewiseValue omega::cellsPerProcessor(const BlockCyclic &Dist,
-                                        SumOptions Opts) {
-  return countSolutions(ownedBy(Dist, "t", "p"), {"t"}, Opts);
+PiecewiseValue omega::cellsPerProcessor(const BlockCyclic &Dist) {
+  return countSolutions(ownedBy(Dist, "t", "p"), {"t"}).Value;
 }
 
 PiecewiseValue omega::shiftCommVolume(const BlockCyclic &Dist,
-                                      const BigInt &Shift, SumOptions Opts) {
+                                      const BigInt &Shift) {
   // Cells i owned by p whose shifted partner i + Shift exists but is NOT
   // owned by p.
   Formula OwnI = ownedBy(Dist, "i", "p");
@@ -51,5 +50,5 @@ PiecewiseValue omega::shiftCommVolume(const BlockCyclic &Dist,
       AffineExpr(Shift)));
   Formula NonLocal = Formula::exists(
       {"ishift"}, Link && PartnerExists && OwnI && !PartnerOwnedByP);
-  return countSolutions(NonLocal, {"i"}, Opts);
+  return countSolutions(NonLocal, {"i"}).Value;
 }

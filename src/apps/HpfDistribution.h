@@ -21,7 +21,7 @@
 #ifndef OMEGA_APPS_HPFDISTRIBUTION_H
 #define OMEGA_APPS_HPFDISTRIBUTION_H
 
-#include "counting/Summation.h"
+#include "omega/Omega.h"
 
 namespace omega {
 
@@ -39,15 +39,13 @@ Formula ownedBy(const BlockCyclic &Dist, const std::string &TVar,
 
 /// (Σ t : owned(t, p) : 1): cells owned by each processor, symbolic in the
 /// processor number "p".
-PiecewiseValue cellsPerProcessor(const BlockCyclic &Dist,
-                                 SumOptions Opts = {});
+PiecewiseValue cellsPerProcessor(const BlockCyclic &Dist);
 
 /// Message buffer sizing for the shift communication  A(i) = B(i + Shift)
 /// (both arrays aligned to the template): counts template cells i such
 /// that i is owned by processor "p" but i + Shift is owned elsewhere —
 /// the number of elements p must receive.  Symbolic in "p".
-PiecewiseValue shiftCommVolume(const BlockCyclic &Dist, const BigInt &Shift,
-                               SumOptions Opts = {});
+PiecewiseValue shiftCommVolume(const BlockCyclic &Dist, const BigInt &Shift);
 
 } // namespace omega
 

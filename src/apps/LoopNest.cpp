@@ -61,11 +61,10 @@ Formula LoopNest::iterationSpace() const {
   return Formula::conj(std::move(Parts));
 }
 
-PiecewiseValue LoopNest::iterationCount(SumOptions Opts) const {
-  return countSolutions(iterationSpace(), vars(), Opts);
+PiecewiseValue LoopNest::iterationCount() const {
+  return countSolutions(iterationSpace(), vars()).Value;
 }
 
-PiecewiseValue LoopNest::flopCount(const QuasiPolynomial &FlopsPerIter,
-                                   SumOptions Opts) const {
-  return sumOverFormula(iterationSpace(), vars(), FlopsPerIter, Opts);
+PiecewiseValue LoopNest::flopCount(const QuasiPolynomial &FlopsPerIter) const {
+  return sumPolynomial(iterationSpace(), vars(), FlopsPerIter).Value;
 }

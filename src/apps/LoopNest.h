@@ -21,7 +21,7 @@
 #ifndef OMEGA_APPS_LOOPNEST_H
 #define OMEGA_APPS_LOOPNEST_H
 
-#include "counting/Summation.h"
+#include "omega/Omega.h"
 
 namespace omega {
 
@@ -57,12 +57,11 @@ public:
 
   /// (Σ vars : space : 1): symbolic iteration count — the paper's
   /// execution-time estimate.
-  PiecewiseValue iterationCount(SumOptions Opts = {}) const;
+  PiecewiseValue iterationCount() const;
 
   /// (Σ vars : space : FlopsPerIter): symbolic flop count; FlopsPerIter
   /// may depend on the loop variables (e.g. inner trip counts).
-  PiecewiseValue flopCount(const QuasiPolynomial &FlopsPerIter,
-                           SumOptions Opts = {}) const;
+  PiecewiseValue flopCount(const QuasiPolynomial &FlopsPerIter) const;
 
 private:
   std::vector<Loop> Loops;

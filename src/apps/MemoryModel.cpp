@@ -39,17 +39,16 @@ Formula omega::touchedCells(const LoopNest &Nest,
 
 PiecewiseValue omega::countDistinctLocations(const LoopNest &Nest,
                                              const std::vector<ArrayRef> &Refs,
-                                             const std::string &Array,
-                                             SumOptions Opts) {
+                                             const std::string &Array) {
   std::vector<std::string> ElemVars;
   Formula Touched = touchedCells(Nest, Refs, Array, ElemVars);
-  return countSolutions(Touched,
-                        VarSet(ElemVars.begin(), ElemVars.end()), Opts);
+  return countSolutions(Touched, VarSet(ElemVars.begin(), ElemVars.end()))
+      .Value;
 }
 
 PiecewiseValue omega::countDistinctCacheLines(
     const LoopNest &Nest, const std::vector<ArrayRef> &Refs,
-    const std::string &Array, const CacheMapping &Map, SumOptions Opts) {
+    const std::string &Array, const CacheMapping &Map) {
   std::vector<std::string> ElemVars;
   Formula Touched = touchedCells(Nest, Refs, Array, ElemVars);
   check(Map.LineDim < ElemVars.size(), "line dimension out of range");
@@ -78,6 +77,6 @@ PiecewiseValue omega::countDistinctCacheLines(
   }
   Formula Lines =
       Formula::exists(std::move(Quantified), Formula::conj(std::move(Parts)));
-  return countSolutions(Lines, VarSet(LineVars.begin(), LineVars.end()),
-                        Opts);
+  return countSolutions(Lines, VarSet(LineVars.begin(), LineVars.end()))
+      .Value;
 }

@@ -44,8 +44,7 @@ Formula touchedCells(const LoopNest &Nest, const std::vector<ArrayRef> &Refs,
 /// (Σ x : touched(x) : 1): distinct memory locations touched (symbolic).
 PiecewiseValue countDistinctLocations(const LoopNest &Nest,
                                       const std::vector<ArrayRef> &Refs,
-                                      const std::string &Array,
-                                      SumOptions Opts = {});
+                                      const std::string &Array);
 
 /// Element-to-cache-line mapping: line coordinate 0 is
 /// floor((x_LineDim - Base) / LineSize); other coordinates pass through.
@@ -60,8 +59,7 @@ struct CacheMapping {
 PiecewiseValue countDistinctCacheLines(const LoopNest &Nest,
                                        const std::vector<ArrayRef> &Refs,
                                        const std::string &Array,
-                                       const CacheMapping &Map,
-                                       SumOptions Opts = {});
+                                       const CacheMapping &Map);
 
 } // namespace omega
 

@@ -12,25 +12,23 @@ namespace {
 /// symbolic value in k (named \p KVar) and the symbolic constants.
 PiecewiseValue prefixWork(const LoopNest &Nest, const std::string &OuterVar,
                           const std::string &KVar,
-                          const QuasiPolynomial &FlopsPerIter,
-                          SumOptions Opts) {
+                          const QuasiPolynomial &FlopsPerIter) {
   Formula Space = Nest.iterationSpace();
   Formula Bounded =
       Space && Formula::atom(Constraint::le(AffineExpr::variable(OuterVar),
                                             AffineExpr::variable(KVar)));
-  return sumOverFormula(Bounded, Nest.vars(), FlopsPerIter, Opts);
+  return sumPolynomial(Bounded, Nest.vars(), FlopsPerIter).Value;
 }
 
 } // namespace
 
 PiecewiseValue omega::perIterationWork(const LoopNest &Nest,
                                        const std::string &OuterVar,
-                                       const QuasiPolynomial &FlopsPerIter,
-                                       SumOptions Opts) {
+                                       const QuasiPolynomial &FlopsPerIter) {
   // Sum over the inner variables only; the outer variable stays symbolic.
   VarSet Inner = Nest.vars();
   Inner.erase(OuterVar);
-  return sumOverFormula(Nest.iterationSpace(), Inner, FlopsPerIter, Opts);
+  return sumPolynomial(Nest.iterationSpace(), Inner, FlopsPerIter).Value;
 }
 
 bool omega::isLoadBalanced(const LoopNest &Nest, const std::string &OuterVar,
@@ -63,8 +61,7 @@ std::vector<Chunk> omega::balancedChunks(const LoopNest &Nest,
                                          unsigned NumProcs) {
   check(NumProcs > 0, "need at least one processor");
   std::string KVar = "chunkK" + freshWildcard().substr(1);
-  PiecewiseValue Prefix =
-      prefixWork(Nest, OuterVar, KVar, FlopsPerIter, SumOptions());
+  PiecewiseValue Prefix = prefixWork(Nest, OuterVar, KVar, FlopsPerIter);
   check(!Prefix.isUnbounded(), "prefix work diverges");
 
   auto PrefixAt = [&](const BigInt &K) {

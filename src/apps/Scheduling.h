@@ -28,8 +28,7 @@ namespace omega {
 /// (and the symbolic constants).
 PiecewiseValue perIterationWork(const LoopNest &Nest,
                                 const std::string &OuterVar,
-                                const QuasiPolynomial &FlopsPerIter,
-                                SumOptions Opts = {});
+                                const QuasiPolynomial &FlopsPerIter);
 
 /// True iff every outer iteration in [\p Lo, \p Hi] performs the same
 /// number of flops at the given symbol values (the [TF92] load-balance

@@ -42,7 +42,7 @@ omega::offsetsZeroOneFormula(const std::vector<Offset> &Offsets,
 }
 
 BigInt omega::countConcrete(const Formula &F, const VarSet &Vars) {
-  PiecewiseValue V = countSolutions(F, Vars);
+  PiecewiseValue V = countSolutions(F, Vars).Value;
   check(!V.isUnbounded(), "countConcrete on an unbounded set");
   return V.evaluateInt({});
 }

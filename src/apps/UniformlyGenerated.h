@@ -22,7 +22,7 @@
 #ifndef OMEGA_APPS_UNIFORMLYGENERATED_H
 #define OMEGA_APPS_UNIFORMLYGENERATED_H
 
-#include "counting/Summation.h"
+#include "omega/Omega.h"
 
 #include <optional>
 

@@ -8,7 +8,7 @@ using namespace omega;
 
 InclusionExclusionResult
 omega::countUnionInclusionExclusion(const std::vector<Conjunct> &Clauses,
-                                    const VarSet &Vars, SumOptions Opts) {
+                                    const VarSet &Vars) {
   InclusionExclusionResult R;
   size_t K = Clauses.size();
   check(K < 20, "inclusion-exclusion over too many clauses");
@@ -24,7 +24,7 @@ omega::countUnionInclusionExclusion(const std::vector<Conjunct> &Clauses,
       continue; // An empty intersection contributes nothing.
     ++R.NumSummations;
     PiecewiseValue Term =
-        sumOverConjunct(Inter, Vars, QuasiPolynomial(Rational(1)), Opts);
+        sumOverConjunct(Inter, Vars, QuasiPolynomial(Rational(1)));
     if (Term.isUnbounded()) {
       R.Value = PiecewiseValue::unbounded();
       return R;

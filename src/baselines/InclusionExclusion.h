@@ -34,7 +34,7 @@ struct InclusionExclusionResult {
 /// Counts the union of \p Clauses over \p Vars by inclusion-exclusion.
 InclusionExclusionResult
 countUnionInclusionExclusion(const std::vector<Conjunct> &Clauses,
-                             const VarSet &Vars, SumOptions Opts = {});
+                             const VarSet &Vars);
 
 } // namespace omega
 

@@ -232,23 +232,7 @@ public:
   CountResult count(const Formula &F, const VarSet &Vars,
                     const QuasiPolynomial &X,
                     const CountOptions &Opts) const override {
-    CountResult Out;
-    if (Opts.Budget.unlimited()) {
-      // No budget: the exact pipeline cannot trip, so run it directly.
-      PiecewiseValue V = sumOverFormula(F, Vars, X);
-      Out.Status =
-          V.isUnbounded() ? CountStatus::Unbounded : CountStatus::Exact;
-      Out.Value = std::move(V);
-    } else {
-      BudgetedCount B = sumOverFormulaBudgeted(F, Vars, X, Opts.Budget);
-      Out.Status = B.Status;
-      Out.Value = std::move(B.Value);
-      Out.Lower = std::move(B.Lower);
-      Out.Upper = std::move(B.Upper);
-      Out.TrippedLimit = std::move(B.TrippedLimit);
-      Out.Err = std::move(B.Err);
-    }
-    return Out;
+    return pughCount(F, Vars, X, Opts);
   }
 };
 

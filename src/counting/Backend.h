@@ -50,7 +50,8 @@ public:
   /// Exact/Bounded/Unbounded; an exact-or-refuse backend may additionally
   /// return Status::Error with ErrorKind::Unsupported — a refusal, never a
   /// wrong count.  Opts.Backend is ignored (the dispatcher consumed it);
-  /// the effort budget only applies to backends that can degrade (pugh).
+  /// the effort budget and the summation knobs (Strategy,
+  /// EliminateRedundant, FreeVariableOrder) only apply to pugh.
   virtual CountResult count(const Formula &F, const VarSet &Vars,
                             const QuasiPolynomial &X,
                             const CountOptions &Opts) const = 0;

@@ -13,7 +13,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "counting/Backend.h"
-#include "counting/Summation.h"
 
 #include "support/BigInt.h"
 #include "support/QueryContext.h"

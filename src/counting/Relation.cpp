@@ -82,14 +82,14 @@ bool Relation::isSubsetOf(const Relation &Other) const {
   return verifyImplies(Body, Other.renamedBody(Ins, Outs));
 }
 
-PiecewiseValue Relation::countOutputsPerInput(SumOptions Opts) const {
-  return countSolutions(Body, VarSet(Outs.begin(), Outs.end()), Opts);
+PiecewiseValue Relation::countOutputsPerInput() const {
+  return countSolutions(Body, VarSet(Outs.begin(), Outs.end())).Value;
 }
 
-PiecewiseValue Relation::countPairs(SumOptions Opts) const {
+PiecewiseValue Relation::countPairs() const {
   VarSet All(Ins.begin(), Ins.end());
   All.insert(Outs.begin(), Outs.end());
-  return countSolutions(Body, All, Opts);
+  return countSolutions(Body, All).Value;
 }
 
 Formula Relation::image(const Formula &Set) const {

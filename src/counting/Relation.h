@@ -19,7 +19,7 @@
 #ifndef OMEGA_COUNTING_RELATION_H
 #define OMEGA_COUNTING_RELATION_H
 
-#include "counting/Summation.h"
+#include "omega/Omega.h"
 #include "omega/Omega.h"
 
 namespace omega {
@@ -63,10 +63,10 @@ public:
 
   /// (Σ outs : R(ins, outs) : 1) — the fan-out of each input tuple,
   /// symbolic in the input names and the symbolic constants.
-  PiecewiseValue countOutputsPerInput(SumOptions Opts = {}) const;
+  PiecewiseValue countOutputsPerInput() const;
 
   /// (Σ ins, outs : R : 1) — total number of related pairs.
-  PiecewiseValue countPairs(SumOptions Opts = {}) const;
+  PiecewiseValue countPairs() const;
 
   /// Image of a set: { z : ∃x. Set(x) ∧ R(x, z) }; \p Set ranges over the
   /// input names.

@@ -65,13 +65,12 @@ bool PresburgerSet::contains(const Assignment &Point) const {
   return false;
 }
 
-PiecewiseValue PresburgerSet::count(SumOptions Opts) const {
-  return countSolutions(Body, VarSet(Tuple.begin(), Tuple.end()), Opts);
+PiecewiseValue PresburgerSet::count() const {
+  return countSolutions(Body, VarSet(Tuple.begin(), Tuple.end())).Value;
 }
 
-PiecewiseValue PresburgerSet::sum(const QuasiPolynomial &X,
-                                  SumOptions Opts) const {
-  return sumOverFormula(Body, VarSet(Tuple.begin(), Tuple.end()), X, Opts);
+PiecewiseValue PresburgerSet::sum(const QuasiPolynomial &X) const {
+  return sumPolynomial(Body, VarSet(Tuple.begin(), Tuple.end()), X).Value;
 }
 
 std::optional<Assignment>

@@ -15,7 +15,7 @@
 #ifndef OMEGA_COUNTING_SET_H
 #define OMEGA_COUNTING_SET_H
 
-#include "counting/Summation.h"
+#include "omega/Omega.h"
 
 #include <optional>
 
@@ -45,10 +45,10 @@ public:
   bool contains(const Assignment &Point) const;
 
   /// |S| as a piecewise quasi-polynomial in the symbolic constants.
-  PiecewiseValue count(SumOptions Opts = {}) const;
+  PiecewiseValue count() const;
 
   /// Σ of a polynomial over the set.
-  PiecewiseValue sum(const QuasiPolynomial &X, SumOptions Opts = {}) const;
+  PiecewiseValue sum(const QuasiPolynomial &X) const;
 
   /// A concrete member at the given symbol values, or nullopt if empty.
   std::optional<Assignment> sample(const Assignment &Symbols) const;

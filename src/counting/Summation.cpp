@@ -76,7 +76,9 @@ bool needsReparam(const Conjunct &C, const VarSet &Vars) {
 /// The summation engine (one instance per query).
 class Summer {
 public:
-  explicit Summer(SumOptions Opts) : Opts(Opts) {}
+  /// Reads the pugh knobs of \p Opts (Strategy, EliminateRedundant,
+  /// FreeVariableOrder); \p Opts must outlive the Summer.
+  explicit Summer(const CountOptions &Opts) : Opts(Opts) {}
 
   PiecewiseValue Out;
   bool Unbounded = false;
@@ -597,19 +599,19 @@ private:
     sumClause(std::move(NewC), std::move(NewVars), std::move(X));
   }
 
-  SumOptions Opts;
+  const CountOptions &Opts;
   unsigned Depth = 0;
 };
 
 } // namespace
 
 PiecewiseValue omega::sumOverConjunct(const Conjunct &C, const VarSet &Vars,
-                                      const QuasiPolynomial &X,
-                                      SumOptions Opts) {
+                                      const QuasiPolynomial &X) {
   PhaseTimer Timer(pipelineStats().SummationNanos);
   TraceSpan Span("summation");
   Span.count(TraceCounter::ConstraintsIn, C.constraints().size());
-  Summer S(Opts);
+  const CountOptions Defaults;
+  Summer S(Defaults);
   S.sumClause(C, Vars, X);
   if (S.Unbounded)
     return PiecewiseValue::unbounded();
@@ -727,11 +729,10 @@ void coalesceEqualValuePieces(PiecewiseValue &V) {
   }
 }
 
-} // namespace
-
-PiecewiseValue omega::sumOverFormula(const Formula &F, const VarSet &Vars,
-                                     const QuasiPolynomial &X,
-                                     SumOptions Opts) {
+/// The exact pass: disjoint DNF, then one Summer per clause.  Returns the
+/// unbounded marker if some counted variable is not bounded both ways.
+PiecewiseValue sumExact(const Formula &F, const VarSet &Vars,
+                        const QuasiPolynomial &X, const CountOptions &Opts) {
   SimplifyOptions SOpts;
   SOpts.Disjoint = true;
   std::vector<Conjunct> Clauses = simplify(F, SOpts);
@@ -775,17 +776,10 @@ PiecewiseValue omega::sumOverFormula(const Formula &F, const VarSet &Vars,
   coalesceEqualValuePieces(V);
   V.mergeSyntactic();
 #ifdef OMEGA_VALIDATE
-  validateOrDie(validatePiecewise(V), "omega::sumOverFormula");
+  validateOrDie(validatePiecewise(V), "omega::pughCount");
 #endif
   return V;
 }
-
-PiecewiseValue omega::countSolutions(const Formula &F, const VarSet &Vars,
-                                     SumOptions Opts) {
-  return sumOverFormula(F, Vars, QuasiPolynomial(Rational(1)), Opts);
-}
-
-namespace {
 
 /// Sums every clause of an (approximating) DNF with the given strategy and
 /// concatenates the pieces.  PiecewiseValue sums matching guards, so the
@@ -796,7 +790,7 @@ namespace {
 std::optional<PiecewiseValue> sumClauseList(const std::vector<Conjunct> &Cs,
                                             const VarSet &Vars,
                                             const QuasiPolynomial &X,
-                                            SumOptions Opts) {
+                                            const CountOptions &Opts) {
   PiecewiseValue V;
   for (const Conjunct &C : Cs) {
     Summer S(Opts);
@@ -817,19 +811,26 @@ std::optional<PiecewiseValue> sumClauseList(const std::vector<Conjunct> &Cs,
 
 } // namespace
 
-BudgetedCount omega::sumOverFormulaBudgeted(const Formula &F,
-                                            const VarSet &Vars,
-                                            const QuasiPolynomial &X,
-                                            const EffortBudget &Budget,
-                                            SumOptions Opts) {
-  BudgetedCount Out;
+CountResult omega::pughCount(const Formula &F, const VarSet &Vars,
+                             const QuasiPolynomial &X,
+                             const CountOptions &Opts) {
+  CountResult Out;
+  auto RunExact = [&] {
+    PiecewiseValue V = sumExact(F, Vars, X, Opts);
+    Out.Status = V.isUnbounded() ? CountStatus::Unbounded : CountStatus::Exact;
+    Out.Value = std::move(V);
+  };
+  // No budget: the exact pass cannot trip, so run it directly.
+  if (Opts.Budget.unlimited()) {
+    RunExact();
+    return Out;
+  }
+
   TraceSpan Span("countBudgeted");
   // Exact attempt under the budget.  On a clean run this is the only pass.
   try {
-    BudgetScope Scope(std::make_shared<BudgetState>(Budget));
-    PiecewiseValue V = sumOverFormula(F, Vars, X, Opts);
-    Out.Status = V.isUnbounded() ? CountStatus::Unbounded : CountStatus::Exact;
-    Out.Value = std::move(V);
+    BudgetScope Scope(std::make_shared<BudgetState>(Opts.Budget));
+    RunExact();
     return Out;
   } catch (const BudgetExceeded &E) {
     Out.TrippedLimit = E.Limit;
@@ -844,7 +845,7 @@ BudgetedCount omega::sumOverFormulaBudgeted(const Formula &F,
   pipelineStats().DegradedQueries += 1;
   Span.annotate("degraded", Out.TrippedLimit);
   Out.Status = CountStatus::Bounded;
-  EffortBudget Relaxed = Budget.relaxed(8);
+  EffortBudget Relaxed = Opts.Budget.relaxed(8);
 
   // Upper bound: real shadow over-approximates the set; UpperBound
   // strategy over-approximates each clause's sum; overlapping clauses
@@ -855,7 +856,7 @@ BudgetedCount omega::sumOverFormulaBudgeted(const Formula &F,
     SimplifyOptions SO;
     SO.Mode = ShadowMode::Real;
     std::vector<Conjunct> Clauses = simplify(F, SO);
-    SumOptions UO = Opts;
+    CountOptions UO = Opts;
     UO.Strategy = BoundStrategy::UpperBound;
     std::optional<PiecewiseValue> U = sumClauseList(Clauses, Vars, X, UO);
     Out.Upper = U ? std::move(*U) : PiecewiseValue::unbounded();
@@ -875,7 +876,7 @@ BudgetedCount omega::sumOverFormulaBudgeted(const Formula &F,
     std::vector<Conjunct> Clauses = simplify(F, SO);
     if (!pairwiseDisjoint(Clauses))
       Clauses = makeDisjoint(std::move(Clauses));
-    SumOptions LO = Opts;
+    CountOptions LO = Opts;
     LO.Strategy = BoundStrategy::LowerBound;
     std::optional<PiecewiseValue> L = sumClauseList(Clauses, Vars, X, LO);
     if (!L) {
@@ -888,12 +889,4 @@ BudgetedCount omega::sumOverFormulaBudgeted(const Formula &F,
     Out.Lower = PiecewiseValue(); // Zero: trivially certified.
   }
   return Out;
-}
-
-BudgetedCount omega::countSolutionsBudgeted(const Formula &F,
-                                            const VarSet &Vars,
-                                            const EffortBudget &Budget,
-                                            SumOptions Opts) {
-  return sumOverFormulaBudgeted(F, Vars, QuasiPolynomial(Rational(1)), Budget,
-                                Opts);
 }

@@ -210,9 +210,25 @@ enum class BackendKind {
 
 const char *backendKindName(BackendKind K);
 
-/// Per-query configuration.  Field defaults reproduce the process defaults,
-/// so CountOptions{} behaves exactly like the legacy zero-configuration
-/// call.
+/// §4.2.1: how to handle a bound ceil(L/b) or floor(U/a) with a, b > 1.
+enum class BoundStrategy {
+  /// Splinter into residue cases (exact; default).
+  Splinter,
+  /// Keep a single piece whose value uses (e mod c) atoms; exact value,
+  /// used when the bound depends only on symbolic constants (otherwise
+  /// falls back to Splinter).  Guards may splinter on one residue when
+  /// both bounds are rational (§4.2.2).
+  SymbolicMod,
+  /// Over-approximate the sum (upper bound; real-shadow guards).
+  UpperBound,
+  /// Under-approximate the sum (lower bound; dark-shadow guards).
+  LowerBound,
+  /// Midpoint of the two bound substitutions (the paper's "best guess").
+  Approximate,
+};
+
+/// Per-query configuration.  CountOptions{} runs the exact pugh pipeline
+/// with the shared cache on, no budget, and nothing collected.
 struct CountOptions {
   /// Counting backend (counting/Backend.h).  Pugh reproduces the pre-PR-7
   /// behavior bit for bit; Automaton/Enumerate answer exactly or refuse
@@ -236,6 +252,24 @@ struct CountOptions {
   /// Tracing is process-wide and not reentrant: at most one traced query
   /// at a time.
   bool CollectTrace = false;
+
+  // The summation knobs below are read by the pugh backend only (also
+  // when Auto dispatches or falls back to pugh).  Auto's heuristic and the
+  // other backends ignore them.
+
+  /// §4.2.1 rational-bound handling.  Splinter is exact; UpperBound,
+  /// LowerBound and Approximate trade exactness for fewer pieces.
+  BoundStrategy Strategy = BoundStrategy::Splinter;
+  /// §4.4 step 1 / conclusions: "Eliminating redundant constraints is
+  /// useful".  Disable only for ablation studies — without it the
+  /// convex-sum recursion splits on bounds that a feasibility test would
+  /// have discharged, producing more terms.
+  bool EliminateRedundant = true;
+  /// Conclusions: "Summations over several variables should not presume an
+  /// order in which to perform the summation".  When false, variables are
+  /// summed in reverse-alphabetical order regardless of their bound
+  /// structure (ablation of the §4.4 heuristic).
+  bool FreeVariableOrder = true;
 };
 
 /// Outcome of a unified query.
@@ -275,9 +309,11 @@ struct [[nodiscard]] CountResult {
   }
 };
 
-/// (Σ Vars : F : X) under \p Opts — THE entry point; every other overload
-/// delegates here.  Free variables of F and X outside Vars are the
-/// symbolic constants of the answer.
+/// (Σ Vars : F : X) under \p Opts — THE entry point; countSolutions and
+/// countBatch delegate here.  Free variables of F and X outside Vars are
+/// the symbolic constants of the answer.  With default options the answer
+/// is Exact, or Unbounded when some counted variable is not bounded both
+/// ways by F.
 [[nodiscard]] CountResult sumPolynomial(const Formula &F, const VarSet &Vars,
                           const QuasiPolynomial &X,
                           const CountOptions &Opts = {});
@@ -285,7 +321,7 @@ struct [[nodiscard]] CountResult {
 /// (Σ Vars : F : 1) under \p Opts: the number of solutions.
 [[nodiscard]] CountResult countSolutions(const Formula &F,
                                          const VarSet &Vars,
-                                         const CountOptions &Opts);
+                                         const CountOptions &Opts = {});
 
 /// One query of a batch: (Σ Vars : F : X) under Opts.
 struct CountQuery {

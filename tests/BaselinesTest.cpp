@@ -128,7 +128,7 @@ TEST(InclusionExclusionTest, MatchesDisjointCount) {
   std::vector<Formula> Parts;
   for (const Conjunct &C : Clauses)
     Parts.push_back(Formula::fromConjunct(C));
-  PiecewiseValue Ours = countSolutions(Formula::disj(Parts), {"x"});
+  PiecewiseValue Ours = countSolutions(Formula::disj(Parts), {"x"}).Value;
   EXPECT_EQ(Ours.evaluate({}), rat(20));
 }
 
@@ -147,7 +147,7 @@ TEST(InclusionExclusionTest, SymbolicAgreement) {
       countUnionInclusionExclusion(Clauses, {"x"});
   std::vector<Formula> Parts{Formula::fromConjunct(A),
                              Formula::fromConjunct(B)};
-  PiecewiseValue Ours = countSolutions(Formula::disj(Parts), {"x"});
+  PiecewiseValue Ours = countSolutions(Formula::disj(Parts), {"x"}).Value;
   for (int64_t N = 0; N <= 12; ++N)
     EXPECT_EQ(R.Value.evaluate({{"n", BigInt(N)}}),
               Ours.evaluate({{"n", BigInt(N)}}))

@@ -198,7 +198,7 @@ TEST(BigIntDifferentialTest, CountSolutionsSmallCoefficientsNeverSpills) {
   ASSERT_TRUE(static_cast<bool>(R)) << R.Error;
 
   arithCounters().Spills.store(0);
-  PiecewiseValue V = countSolutions(*R.Value, VarSet{"i", "j"});
+  PiecewiseValue V = countSolutions(*R.Value, VarSet{"i", "j"}).Value;
   EXPECT_EQ(arithCounters().Spills.load(), 0u)
       << "small-coefficient counting query spilled to the limb path";
   // Sanity: the query actually did arithmetic.

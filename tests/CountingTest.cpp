@@ -100,13 +100,14 @@ Rational enumerate(const Formula &F, const std::vector<std::string> &Vars,
 TEST(CountingTest, IntroTableConstantRange) {
   // (Σ i : 1 <= i <= 10 : 1) = 10.
   PiecewiseValue V =
-      countSolutions(parseFormulaOrDie("1 <= i <= 10"), {"i"});
+      countSolutions(parseFormulaOrDie("1 <= i <= 10"), {"i"}).Value;
   EXPECT_EQ(V.evaluate({}), rat(10));
 }
 
 TEST(CountingTest, IntroTableSymbolicCount) {
   // (Σ i : 1 <= i <= n : 1) = (n if n >= 1).
-  PiecewiseValue V = countSolutions(parseFormulaOrDie("1 <= i <= n"), {"i"});
+  PiecewiseValue V =
+      countSolutions(parseFormulaOrDie("1 <= i <= n"), {"i"}).Value;
   for (int64_t N = -3; N <= 10; ++N)
     EXPECT_EQ(V.evaluate({{"n", BigInt(N)}}), rat(std::max<int64_t>(0, N)))
         << N;
@@ -114,8 +115,8 @@ TEST(CountingTest, IntroTableSymbolicCount) {
 
 TEST(CountingTest, IntroTableSum) {
   // (Σ i : 1 <= i <= n : i) = n(n+1)/2 guarded by n >= 1.
-  PiecewiseValue V = sumOverFormula(parseFormulaOrDie("1 <= i <= n"), {"i"},
-                                    qvar("i"));
+  PiecewiseValue V =
+      sumPolynomial(parseFormulaOrDie("1 <= i <= n"), {"i"}, qvar("i")).Value;
   for (int64_t N = -3; N <= 10; ++N) {
     int64_t Expected = N >= 1 ? N * (N + 1) / 2 : 0;
     EXPECT_EQ(V.evaluate({{"n", BigInt(N)}}), rat(Expected)) << N;
@@ -125,7 +126,7 @@ TEST(CountingTest, IntroTableSum) {
 TEST(CountingTest, IntroTableSquare) {
   // (Σ i,j : 1 <= i,j <= n : 1) = n².
   PiecewiseValue V =
-      countSolutions(parseFormulaOrDie("1 <= i,j <= n"), {"i", "j"});
+      countSolutions(parseFormulaOrDie("1 <= i,j <= n"), {"i", "j"}).Value;
   for (int64_t N = 0; N <= 8; ++N)
     EXPECT_EQ(V.evaluate({{"n", BigInt(N)}}), rat(N * N)) << N;
 }
@@ -134,7 +135,7 @@ TEST(CountingTest, IntroTableTriangle) {
   // (Σ i,j : 1 <= i < j <= n : 1) = n(n-1)/2 for n >= 2.
   PiecewiseValue V =
       countSolutions(parseFormulaOrDie("1 <= i && i < j && j <= n"),
-                     {"i", "j"});
+                     {"i", "j"}).Value;
   for (int64_t N = 0; N <= 9; ++N)
     EXPECT_EQ(V.evaluate({{"n", BigInt(N)}}), rat(N * (N - 1) / 2)) << N;
 }
@@ -143,7 +144,7 @@ TEST(CountingTest, MathematicaPitfall) {
   // Σ_{i=1}^n Σ_{j=i}^m 1: Mathematica's n(2m-n+1)/2 is wrong for m < n;
   // ours must be right on both regions.
   Formula F = parseFormulaOrDie("1 <= i <= n && i <= j <= m");
-  PiecewiseValue V = countSolutions(F, {"i", "j"});
+  PiecewiseValue V = countSolutions(F, {"i", "j"}).Value;
   for (int64_t N = 0; N <= 7; ++N)
     for (int64_t M = 0; M <= 7; ++M) {
       int64_t Expected = 0;
@@ -158,9 +159,10 @@ TEST(CountingTest, MathematicaPitfall) {
 TEST(CountingTest, PolynomialSummand) {
   // Σ_{i=1}^{n} i² and Σ_{1<=i<=j<=n} i*j against enumeration.
   Formula F1 = parseFormulaOrDie("1 <= i <= n");
-  PiecewiseValue V1 = sumOverFormula(F1, {"i"}, qvar("i") * qvar("i"));
+  PiecewiseValue V1 = sumPolynomial(F1, {"i"}, qvar("i") * qvar("i")).Value;
   Formula F2 = parseFormulaOrDie("1 <= i <= j <= n");
-  PiecewiseValue V2 = sumOverFormula(F2, {"i", "j"}, qvar("i") * qvar("j"));
+  PiecewiseValue V2 =
+      sumPolynomial(F2, {"i", "j"}, qvar("i") * qvar("j")).Value;
   for (int64_t N = 0; N <= 8; ++N) {
     Assignment S{{"n", BigInt(N)}};
     EXPECT_EQ(V1.evaluate(S),
@@ -176,7 +178,7 @@ TEST(CountingTest, Example6PaperResult) {
   // §6 Example 6: (Σ i,j : 1 <= i, j <= n ∧ 2i <= 3j : 1)
   //             = (3n² + 2n - n mod 2) / 4 for n >= 1.
   Formula F = parseFormulaOrDie("1 <= i && 1 <= j && j <= n && 2*i <= 3*j");
-  PiecewiseValue V = countSolutions(F, {"i", "j"});
+  PiecewiseValue V = countSolutions(F, {"i", "j"}).Value;
   for (int64_t N = 0; N <= 12; ++N) {
     int64_t Expected = (3 * N * N + 2 * N - (N % 2)) / 4;
     if (N < 1)
@@ -190,9 +192,9 @@ TEST(CountingTest, StrideCounting) {
   Formula F = parseFormulaOrDie("1 <= x <= n && 2 | x");
   for (BoundStrategy Strat :
        {BoundStrategy::Splinter, BoundStrategy::SymbolicMod}) {
-    SumOptions Opts;
+    CountOptions Opts;
     Opts.Strategy = Strat;
-    PiecewiseValue V = countSolutions(F, {"x"}, Opts);
+    PiecewiseValue V = countSolutions(F, {"x"}, Opts).Value;
     for (int64_t N = -1; N <= 12; ++N)
       EXPECT_EQ(V.evaluate({{"n", BigInt(N)}}),
                 rat(std::max<int64_t>(0, N / 2)))
@@ -205,7 +207,7 @@ TEST(CountingTest, ProjectedCount) {
   // values.
   Formula F = parseFormulaOrDie(
       "exists(i, j: 1 <= i <= 8 && 1 <= j <= 5 && x = 6*i + 9*j - 7)");
-  PiecewiseValue V = countSolutions(F, {"x"});
+  PiecewiseValue V = countSolutions(F, {"x"}).Value;
   EXPECT_EQ(V.evaluate({}), rat(25));
 }
 
@@ -218,19 +220,19 @@ TEST(CountingTest, RationalBoundStrategies) {
   };
   for (BoundStrategy Strat :
        {BoundStrategy::Splinter, BoundStrategy::SymbolicMod}) {
-    SumOptions Opts;
+    CountOptions Opts;
     Opts.Strategy = Strat;
-    PiecewiseValue V = sumOverFormula(F, {"i"}, qvar("i"), Opts);
+    PiecewiseValue V = sumPolynomial(F, {"i"}, qvar("i"), Opts).Value;
     for (int64_t N = 0; N <= 15; ++N)
       EXPECT_EQ(V.evaluate({{"n", BigInt(N)}}), Truth(N))
           << "n=" << N << " strat=" << int(Strat);
   }
   // Bounds bracket the truth.
-  SumOptions UpOpts, LoOpts;
+  CountOptions UpOpts, LoOpts;
   UpOpts.Strategy = BoundStrategy::UpperBound;
   LoOpts.Strategy = BoundStrategy::LowerBound;
-  PiecewiseValue Up = sumOverFormula(F, {"i"}, qvar("i"), UpOpts);
-  PiecewiseValue Lo = sumOverFormula(F, {"i"}, qvar("i"), LoOpts);
+  PiecewiseValue Up = sumPolynomial(F, {"i"}, qvar("i"), UpOpts).Value;
+  PiecewiseValue Lo = sumPolynomial(F, {"i"}, qvar("i"), LoOpts).Value;
   for (int64_t N = 0; N <= 15; ++N) {
     EXPECT_GE(Up.evaluate({{"n", BigInt(N)}}), Truth(N)) << N;
     EXPECT_LE(Lo.evaluate({{"n", BigInt(N)}}), Truth(N)) << N;
@@ -248,7 +250,7 @@ TEST(CountingTest, Example1TawbiLoop) {
   // §6 Example 1: Σ_{i=1}^n Σ_{j=1}^i Σ_{k=j}^m 1.
   Formula F =
       parseFormulaOrDie("1 <= i <= n && 1 <= j <= i && j <= k <= m");
-  PiecewiseValue V = countSolutions(F, {"i", "j", "k"});
+  PiecewiseValue V = countSolutions(F, {"i", "j", "k"}).Value;
   for (int64_t N = 0; N <= 6; ++N)
     for (int64_t M = 0; M <= 6; ++M) {
       int64_t Expected = 0;
@@ -265,7 +267,7 @@ TEST(CountingTest, Example2HaghighatLoop) {
   // §6 Example 2: Σ_{i=1}^n Σ_{j=3}^i Σ_{k=j}^5 1 = 6n - 16 for n >= 5.
   Formula F =
       parseFormulaOrDie("1 <= i <= n && 3 <= j <= i && j <= k <= 5");
-  PiecewiseValue V = countSolutions(F, {"i", "j", "k"});
+  PiecewiseValue V = countSolutions(F, {"i", "j", "k"}).Value;
   for (int64_t N = 0; N <= 12; ++N) {
     int64_t Expected = 0;
     for (int64_t I = 1; I <= N; ++I)
@@ -281,31 +283,31 @@ TEST(CountingTest, Example3MinLoop) {
   // §6 Example 3: (Σ i,j : 1 <= i <= 2n ∧ 1 <= j <= i ∧ i + j <= 2n) = n².
   Formula F = parseFormulaOrDie(
       "1 <= i <= 2*n && 1 <= j <= i && i + j <= 2*n");
-  PiecewiseValue V = countSolutions(F, {"i", "j"});
+  PiecewiseValue V = countSolutions(F, {"i", "j"}).Value;
   for (int64_t N = 0; N <= 8; ++N)
     EXPECT_EQ(V.evaluate({{"n", BigInt(N)}}), rat(N * N)) << N;
 }
 
 TEST(CountingTest, UnboundedDetection) {
   EXPECT_TRUE(countSolutions(parseFormulaOrDie("x >= 1"), {"x"})
-                  .isUnbounded());
+                  .Value.isUnbounded());
   EXPECT_TRUE(countSolutions(parseFormulaOrDie("1 <= y <= 5"), {"x", "y"})
-                  .isUnbounded());
+                  .Value.isUnbounded());
   EXPECT_FALSE(countSolutions(parseFormulaOrDie("1 <= x <= 5"), {"x"})
-                   .isUnbounded());
+                   .Value.isUnbounded());
 }
 
 TEST(CountingTest, DisjunctionCountedOnce) {
   // Overlapping clauses must not double-count (§4.5.1).
   Formula F = parseFormulaOrDie(
       "(1 <= x <= 10 && 2 | x) || (1 <= x <= 10 && 3 | x)");
-  PiecewiseValue V = countSolutions(F, {"x"});
+  PiecewiseValue V = countSolutions(F, {"x"}).Value;
   EXPECT_EQ(V.evaluate({}), rat(7)); // {2,3,4,6,8,9,10}.
 }
 
 TEST(CountingTest, NegationCount) {
   Formula F = parseFormulaOrDie("1 <= x <= 20 && !(3 | x) && !(x = 7)");
-  PiecewiseValue V = countSolutions(F, {"x"});
+  PiecewiseValue V = countSolutions(F, {"x"}).Value;
   // 20 - 6 (multiples of 3) - 1 (x=7, not a multiple of 3) = 13.
   EXPECT_EQ(V.evaluate({}), rat(13));
 }
@@ -313,7 +315,7 @@ TEST(CountingTest, NegationCount) {
 TEST(CountingTest, SumOverStriddenVar) {
   // Σ_{x even, 2 <= x <= n} x = 2 + 4 + ... against enumeration.
   Formula F = parseFormulaOrDie("2 <= x <= n && 2 | x");
-  PiecewiseValue V = sumOverFormula(F, {"x"}, qvar("x"));
+  PiecewiseValue V = sumPolynomial(F, {"x"}, qvar("x")).Value;
   for (int64_t N = 0; N <= 13; ++N) {
     int64_t Expected = 0;
     for (int64_t X = 2; X <= N; X += 2)
@@ -325,7 +327,7 @@ TEST(CountingTest, SumOverStriddenVar) {
 TEST(CountingTest, EqualityCoupling) {
   // Count (i, j) with i = j and bounds: diagonal.
   Formula F = parseFormulaOrDie("1 <= i <= n && 1 <= j <= n && i = j");
-  PiecewiseValue V = countSolutions(F, {"i", "j"});
+  PiecewiseValue V = countSolutions(F, {"i", "j"}).Value;
   for (int64_t N = 0; N <= 8; ++N)
     EXPECT_EQ(V.evaluate({{"n", BigInt(N)}}), rat(std::max<int64_t>(0, N)))
         << N;
@@ -336,7 +338,7 @@ TEST(CountingTest, HPFBlockCyclicMapping) {
   // each processor owns 128 template cells.
   Formula F = parseFormulaOrDie("exists(l, c: t = l + 4*p + 32*c && "
                                 "0 <= l <= 3 && 0 <= c && 0 <= t <= 1023)");
-  PiecewiseValue V = countSolutions(F, {"t"});
+  PiecewiseValue V = countSolutions(F, {"t"}).Value;
   for (int64_t P = 0; P <= 7; ++P)
     EXPECT_EQ(V.evaluate({{"p", BigInt(P)}}), rat(128)) << "p=" << P;
 }
@@ -365,7 +367,7 @@ TEST(CountingTest, RandomClausesAgainstEnumeration) {
                                AffineExpr::variable("x") +
                                    AffineExpr::variable("n")));
     Formula F = Formula::fromConjunct(C);
-    PiecewiseValue V = countSolutions(F, {"x", "y"});
+    PiecewiseValue V = countSolutions(F, {"x", "y"}).Value;
     if (V.isUnbounded())
       continue;
     ++Done;
@@ -388,7 +390,7 @@ TEST(CountingTest, RandomPolynomialSums) {
     Formula F = parseFormulaOrDie(Text);
     unsigned Deg = Rng() % 4;
     QuasiPolynomial X = QuasiPolynomial::pow(qvar("i"), Deg);
-    PiecewiseValue V = sumOverFormula(F, {"i"}, X);
+    PiecewiseValue V = sumPolynomial(F, {"i"}, X).Value;
     for (int64_t N = 0; N <= 14; ++N) {
       Assignment S{{"n", BigInt(N)}};
       Rational Truth = enumerate(F, {"i"}, S, X, -1, 20, 0, 0);

@@ -67,7 +67,7 @@ TEST_P(FuzzDifferential, CountMatchesEnumerator) {
     ASSERT_TRUE(R) << R.Error;
 
     VarSet Vars(FC.Vars.begin(), FC.Vars.end());
-    PiecewiseValue V = countSolutions(*R.Value, Vars);
+    PiecewiseValue V = countSolutions(*R.Value, Vars).Value;
     ASSERT_FALSE(V.isUnbounded())
         << "box-bounded formula reported as unbounded";
 

@@ -112,9 +112,9 @@ TEST_P(StrategySweep, ExactStrategiesMatchOracleBoundsBracket) {
   Formula F = parseFormulaOrDie(Text);
   QuasiPolynomial X = QuasiPolynomial::pow(QuasiPolynomial::variable("i"),
                                            P.Degree);
-  SumOptions Opts;
+  CountOptions Opts;
   Opts.Strategy = P.Strategy;
-  PiecewiseValue V = sumOverFormula(F, {"i"}, X, Opts);
+  PiecewiseValue V = sumPolynomial(F, {"i"}, X, Opts).Value;
   ASSERT_FALSE(V.isUnbounded());
   for (int64_t N = 0; N <= 25; ++N) {
     Assignment S{{"n", BigInt(N)}};
@@ -168,7 +168,7 @@ TEST_P(StrideSweep, CountStriddenRange) {
   std::string Text = "1 <= x <= n && " + std::to_string(P.Mod) + " | x - " +
                      std::to_string(P.Residue);
   Formula F = parseFormulaOrDie(Text);
-  PiecewiseValue V = countSolutions(F, {"x"});
+  PiecewiseValue V = countSolutions(F, {"x"}).Value;
   for (int64_t N = 0; N <= 3 * P.Mod + 4; ++N) {
     int64_t Expected = 0;
     for (int64_t X = 1; X <= N; ++X)
@@ -198,7 +198,7 @@ TEST_P(DegreeSweep, SumOverShiftedRange) {
   Formula F = parseFormulaOrDie("0 - n <= i && i <= n");
   QuasiPolynomial X =
       QuasiPolynomial::pow(QuasiPolynomial::variable("i"), D);
-  PiecewiseValue V = sumOverFormula(F, {"i"}, X);
+  PiecewiseValue V = sumPolynomial(F, {"i"}, X).Value;
   for (int64_t N = 0; N <= 9; ++N) {
     BigInt Expected(0);
     for (int64_t I = -N; I <= N; ++I)
@@ -231,7 +231,7 @@ TEST_P(NestSweep, RandomNestCounts) {
     if (Rng() % 2)
       Text += " && i + j <= n + " + std::to_string(int64_t(Rng() % 4));
     Formula F = parseFormulaOrDie(Text);
-    PiecewiseValue V = countSolutions(F, {"i", "j"});
+    PiecewiseValue V = countSolutions(F, {"i", "j"}).Value;
     ASSERT_FALSE(V.isUnbounded()) << Text;
     for (int64_t N = 0; N <= 9; ++N) {
       Assignment S{{"n", BigInt(N)}};

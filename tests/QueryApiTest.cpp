@@ -4,15 +4,15 @@
 // a query's CountOptions translate into a QueryContext installed for the
 // query's duration, so knobs apply per query (never to process state) and
 // stats are a per-query block (never a racy global delta).  These tests
-// pin the contract: options-configured counts match the plain pipeline
-// textually, nested/sequential queries don't leak stats into each other,
-// and countBatch is element-wise isolated.
+// pin the contract: options-configured counts nested in a foreign context
+// match a top-level default count textually, nested/sequential queries
+// don't leak stats into each other, and countBatch is element-wise
+// isolated.
 //
 //===----------------------------------------------------------------------===//
 
 #include "FuzzGen.h"
 
-#include "counting/Summation.h"
 #include "omega/Omega.h"
 #include "presburger/Parser.h"
 #include "presburger/Var.h"
@@ -28,12 +28,12 @@ using namespace omega;
 
 namespace {
 
-/// Baseline: the plain two-argument pipeline entry (no options, no
+/// Baseline: a top-level count with default options (no enclosing
 /// context), from reset state.
 std::string plainCount(const Formula &F, const VarSet &Vars) {
   clearConjunctCache();
   resetWildcardState();
-  PiecewiseValue V = countSolutions(F, Vars);
+  PiecewiseValue V = countSolutions(F, Vars).Value;
   return V.toString();
 }
 
@@ -72,6 +72,8 @@ TEST(QueryApi, DifferentialFuzzCorpus) {
 }
 
 TEST(QueryApi, SumPolynomialDifferential) {
+  // Pinned on the exact answer, so any change to the summation output
+  // shows here.
   ParseResult R = parseFormula("1 <= i <= n && i <= j <= n");
   ASSERT_TRUE(R) << R.Error;
   VarSet Vars{"i", "j"};
@@ -79,18 +81,15 @@ TEST(QueryApi, SumPolynomialDifferential) {
 
   clearConjunctCache();
   resetWildcardState();
-  std::string Plain = sumOverFormula(*R.Value, Vars, X).toString();
-
-  clearConjunctCache();
-  resetWildcardState();
   CountResult CR = sumPolynomial(*R.Value, Vars, X);
   EXPECT_TRUE(CR.exact());
-  EXPECT_EQ(CR.Value.toString(), Plain);
+  EXPECT_EQ(CR.Value.toString(),
+            "(if n - 1 >= 0 : 1/6*n^3 + 1/2*n^2 + 1/3*n)");
 }
 
 TEST(QueryApi, BudgetedDifferential) {
-  // Two clauses against a one-clause budget: both paths must degrade to
-  // the same certified bounds, not just the same status.
+  // Two clauses against a one-clause budget: the count degrades to pinned
+  // certified bounds, not just to the Bounded status.
   ParseResult R = parseFormula("1 <= i <= 10 || 20 <= i <= 24");
   ASSERT_TRUE(R) << R.Error;
   VarSet Vars{"i"};
@@ -99,19 +98,14 @@ TEST(QueryApi, BudgetedDifferential) {
 
   clearConjunctCache();
   resetWildcardState();
-  BudgetedCount Legacy = countSolutionsBudgeted(*R.Value, Vars, *Budget);
-
-  clearConjunctCache();
-  resetWildcardState();
   CountOptions CO;
   CO.Budget = *Budget;
   CountResult CR = countSolutions(*R.Value, Vars, CO);
 
-  ASSERT_EQ(Legacy.Status, CountStatus::Bounded);
-  EXPECT_EQ(CR.Status, Legacy.Status);
-  EXPECT_EQ(CR.TrippedLimit, Legacy.TrippedLimit);
-  EXPECT_EQ(CR.Lower.toString(), Legacy.Lower.toString());
-  EXPECT_EQ(CR.Upper.toString(), Legacy.Upper.toString());
+  ASSERT_EQ(CR.Status, CountStatus::Bounded);
+  EXPECT_EQ(CR.TrippedLimit, "clauses=1");
+  EXPECT_EQ(CR.Lower.toString(), "(15)");
+  EXPECT_EQ(CR.Upper.toString(), "(15)");
 
   // A generous budget through the options path stays exact.
   auto Big = EffortBudget::parse("clauses=64");

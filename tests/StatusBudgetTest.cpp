@@ -2,13 +2,13 @@
 //
 // Covers support/Status.h (Error, Result), support/Budget.h (parse,
 // relaxed, trip semantics), the Formula::tryEvaluate typed error for
-// quantifiers, and the §4.6 degradation contract of
-// countSolutionsBudgeted: exact under a generous budget, certified
+// quantifiers, and the §4.6 degradation contract of a count under
+// CountOptions::Budget: exact under a generous budget, certified
 // lower/upper bounds under a tiny one.
 //
 //===----------------------------------------------------------------------===//
 
-#include "counting/Summation.h"
+#include "omega/Omega.h"
 #include "presburger/Parser.h"
 #include "support/Budget.h"
 #include "support/Status.h"
@@ -171,24 +171,31 @@ Formula parseOk(const char *Text) {
   return *R.Value;
 }
 
-TEST(BudgetedCountTest, GenerousBudgetStaysExact) {
+CountResult countUnder(const Formula &F, const VarSet &Vars,
+                       const EffortBudget &B) {
+  CountOptions CO;
+  CO.Budget = B;
+  return countSolutions(F, Vars, CO);
+}
+
+TEST(CountUnderBudgetTest, GenerousBudgetStaysExact) {
   EffortBudget B;
   B.MaxDnfClauses = 1024;
   B.MaxRecursionDepth = 64;
-  BudgetedCount BC = countSolutionsBudgeted(
-      parseOk("1 <= i <= 10 || 20 <= i <= 24"), {"i"}, B);
+  CountResult BC =
+      countUnder(parseOk("1 <= i <= 10 || 20 <= i <= 24"), {"i"}, B);
   EXPECT_EQ(BC.Status, CountStatus::Exact);
   EXPECT_TRUE(BC.TrippedLimit.empty());
   EXPECT_EQ(BC.Value.evaluate({}), Rational(15));
 }
 
-TEST(BudgetedCountTest, TinyBudgetYieldsCertifiedBounds) {
+TEST(CountUnderBudgetTest, TinyBudgetYieldsCertifiedBounds) {
   // clauses=1 trips as soon as the disjunction becomes a 2-clause DNF; the
   // relaxed (x8) degraded passes then complete.  True count is 15.
   EffortBudget B;
   B.MaxDnfClauses = 1;
-  BudgetedCount BC = countSolutionsBudgeted(
-      parseOk("1 <= i <= 10 || 20 <= i <= 24"), {"i"}, B);
+  CountResult BC =
+      countUnder(parseOk("1 <= i <= 10 || 20 <= i <= 24"), {"i"}, B);
   ASSERT_EQ(BC.Status, CountStatus::Bounded);
   EXPECT_EQ(BC.TrippedLimit, "clauses=1");
   ASSERT_FALSE(BC.Upper.isUnbounded());
@@ -201,17 +208,17 @@ TEST(BudgetedCountTest, TinyBudgetYieldsCertifiedBounds) {
   EXPECT_EQ(Hi, Rational(15));
 }
 
-TEST(BudgetedCountTest, SymbolicBoundsBracketTruth) {
+TEST(CountUnderBudgetTest, SymbolicBoundsBracketTruth) {
   // Parametric query degraded by a depth cap; check the bounds bracket the
   // exact symbolic count at several symbol values.
   const char *Text = "(1 <= i <= n && 2*i <= 3*j && 1 <= j <= n)"
                      " || (n < i <= 2*n && j = i)";
-  PiecewiseValue Exact = countSolutions(parseOk(Text), {"i", "j"});
+  PiecewiseValue Exact = countSolutions(parseOk(Text), {"i", "j"}).Value;
   ASSERT_FALSE(Exact.isUnbounded());
 
   EffortBudget B;
   B.MaxRecursionDepth = 1;
-  BudgetedCount BC = countSolutionsBudgeted(parseOk(Text), {"i", "j"}, B);
+  CountResult BC = countUnder(parseOk(Text), {"i", "j"}, B);
   ASSERT_EQ(BC.Status, CountStatus::Bounded);
   for (int64_t N : {0, 1, 3, 7, 11}) {
     Assignment At{{"n", BigInt(N)}};
@@ -222,18 +229,18 @@ TEST(BudgetedCountTest, SymbolicBoundsBracketTruth) {
   }
 }
 
-TEST(BudgetedCountTest, DegradedOutputUnderDepthBudget) {
+TEST(CountUnderBudgetTest, DegradedOutputUnderDepthBudget) {
   const char *Text = "(1 <= i <= n && 2*i <= 3*j && 1 <= j <= n)"
                      " || (n < i <= 2*n && j = i)"
                      " || (1 <= i <= 4 && 5 <= j <= 9)";
   EffortBudget B;
   B.MaxRecursionDepth = 1;
-  BudgetedCount BC = countSolutionsBudgeted(parseOk(Text), {"i", "j"}, B);
+  CountResult BC = countUnder(parseOk(Text), {"i", "j"}, B);
   EXPECT_EQ(BC.Status, CountStatus::Bounded);
   EXPECT_EQ(BC.TrippedLimit, "depth=1");
 }
 
-TEST(BudgetedCountTest, ParseLiteralGuardUnderBudget) {
+TEST(CountUnderBudgetTest, ParseLiteralGuardUnderBudget) {
   // A budget's bits= knob rejects absurd literals at parse time with a
   // positioned diagnostic instead of a throw.
   EffortBudget B;

@@ -15,7 +15,7 @@ Rational rat(long long N) { return Rational(BigInt(N)); }
 
 TEST(SummationEdgeTest, EqualityPinnedVariableIsBounded) {
   // i = n: exactly one solution for every n — not unbounded.
-  PiecewiseValue V = countSolutions(parseFormulaOrDie("i = n"), {"i"});
+  PiecewiseValue V = countSolutions(parseFormulaOrDie("i = n"), {"i"}).Value;
   ASSERT_FALSE(V.isUnbounded());
   for (int64_t N : {-5, 0, 17})
     EXPECT_EQ(V.evaluate({{"n", BigInt(N)}}), rat(1)) << N;
@@ -24,36 +24,39 @@ TEST(SummationEdgeTest, EqualityPinnedVariableIsBounded) {
 TEST(SummationEdgeTest, StridePinnedStaysUnbounded) {
   // 2 | i alone has infinitely many solutions.
   EXPECT_TRUE(countSolutions(parseFormulaOrDie("2 | i"), {"i"})
-                  .isUnbounded());
+                  .Value.isUnbounded());
 }
 
 TEST(SummationEdgeTest, EmptyVarSetGivesGuardedConstant) {
   // No counted variables: the "sum" is x guarded by the formula (§1's
   // nullary summation).
-  PiecewiseValue V = sumOverFormula(parseFormulaOrDie("n >= 1"), {},
-                                    QuasiPolynomial(rat(7)));
+  PiecewiseValue V =
+      sumPolynomial(parseFormulaOrDie("n >= 1"), {}, QuasiPolynomial(rat(7)))
+          .Value;
   EXPECT_EQ(V.evaluate({{"n", BigInt(3)}}), rat(7));
   EXPECT_EQ(V.evaluate({{"n", BigInt(0)}}), rat(0));
 }
 
 TEST(SummationEdgeTest, FalseFormulaCountsZero) {
-  PiecewiseValue V = countSolutions(Formula::falseFormula(), {"i"});
+  PiecewiseValue V = countSolutions(Formula::falseFormula(), {"i"}).Value;
   EXPECT_FALSE(V.isUnbounded());
   EXPECT_EQ(V.evaluate({}), rat(0));
   EXPECT_TRUE(V.pieces().empty());
 }
 
 TEST(SummationEdgeTest, ZeroSummandIsZero) {
-  PiecewiseValue V = sumOverFormula(parseFormulaOrDie("1 <= i <= n"), {"i"},
-                                    QuasiPolynomial());
+  PiecewiseValue V = sumPolynomial(parseFormulaOrDie("1 <= i <= n"), {"i"},
+                                   QuasiPolynomial())
+                         .Value;
   EXPECT_EQ(V.evaluate({{"n", BigInt(9)}}), rat(0));
 }
 
 TEST(SummationEdgeTest, HighDegreeSummand) {
   // Σ_{i=1}^{n} i^10 — the top of the paper's hard-coded table; checked
   // against direct accumulation.
-  PiecewiseValue V = sumOverFormula(parseFormulaOrDie("1 <= i <= n"), {"i"},
-                                    QuasiPolynomial::pow(qvar("i"), 10));
+  PiecewiseValue V = sumPolynomial(parseFormulaOrDie("1 <= i <= n"), {"i"},
+                                   QuasiPolynomial::pow(qvar("i"), 10))
+                         .Value;
   for (int64_t N : {0, 1, 7, 20}) {
     BigInt Expected(0);
     for (int64_t I = 1; I <= N; ++I)
@@ -66,7 +69,7 @@ TEST(SummationEdgeTest, EvaluationAtAstronomicalN) {
   // The symbolic answer is exact at n = 10^30 — far beyond enumeration
   // and machine integers.
   PiecewiseValue V =
-      countSolutions(parseFormulaOrDie("1 <= i <= j <= n"), {"i", "j"});
+      countSolutions(parseFormulaOrDie("1 <= i <= j <= n"), {"i", "j"}).Value;
   BigInt N = BigInt::pow(BigInt(10), 30);
   BigInt Expected = N * (N + BigInt(1)) / BigInt(2);
   EXPECT_EQ(V.evaluateInt({{"n", N}}), Expected);
@@ -75,7 +78,7 @@ TEST(SummationEdgeTest, EvaluationAtAstronomicalN) {
 TEST(SummationEdgeTest, FourNestedVariables) {
   // Σ over 1 <= i <= j <= k <= l <= n: C(n+3, 4).
   Formula F = parseFormulaOrDie("1 <= i <= j && j <= k && k <= l <= n");
-  PiecewiseValue V = countSolutions(F, {"i", "j", "k", "l"});
+  PiecewiseValue V = countSolutions(F, {"i", "j", "k", "l"}).Value;
   for (int64_t N = 0; N <= 9; ++N) {
     int64_t Expected = N * (N + 1) * (N + 2) * (N + 3) / 24;
     EXPECT_EQ(V.evaluate({{"n", BigInt(N)}}), rat(Expected)) << N;
@@ -85,7 +88,7 @@ TEST(SummationEdgeTest, FourNestedVariables) {
 TEST(SummationEdgeTest, MultipleSymbolsInGuards) {
   // Box [a, b] x [c, d]: count (b-a+1)(d-c+1) when nonempty.
   Formula F = parseFormulaOrDie("a <= i <= b && c <= j <= d");
-  PiecewiseValue V = countSolutions(F, {"i", "j"});
+  PiecewiseValue V = countSolutions(F, {"i", "j"}).Value;
   for (int64_t A : {-2, 0, 3})
     for (int64_t B : {-3, 1, 4})
       for (int64_t C : {0, 2})
@@ -104,7 +107,7 @@ TEST(SummationEdgeTest, MultipleSymbolsInGuards) {
 TEST(SummationEdgeTest, NegativeSymbolicRange) {
   // Σ_{i=-n}^{-1} i = -n(n+1)/2 for n >= 1 (negative summands).
   Formula F = parseFormulaOrDie("0 - n <= i && i <= -1");
-  PiecewiseValue V = sumOverFormula(F, {"i"}, qvar("i"));
+  PiecewiseValue V = sumPolynomial(F, {"i"}, qvar("i")).Value;
   for (int64_t N = 0; N <= 9; ++N)
     EXPECT_EQ(V.evaluate({{"n", BigInt(N)}}), rat(-(N * (N + 1) / 2)))
         << N;
@@ -113,14 +116,14 @@ TEST(SummationEdgeTest, NegativeSymbolicRange) {
 TEST(SummationEdgeTest, AblationsProduceSameValues) {
   Formula F = parseFormulaOrDie(
       "1 <= a <= n && a <= b <= n && b <= c <= n && a + c <= n + 2");
-  SumOptions Variants[4];
+  CountOptions Variants[4];
   Variants[1].EliminateRedundant = false;
   Variants[2].FreeVariableOrder = false;
   Variants[3].EliminateRedundant = false;
   Variants[3].FreeVariableOrder = false;
-  PiecewiseValue Ref = countSolutions(F, {"a", "b", "c"}, Variants[0]);
+  PiecewiseValue Ref = countSolutions(F, {"a", "b", "c"}, Variants[0]).Value;
   for (int K = 1; K < 4; ++K) {
-    PiecewiseValue V = countSolutions(F, {"a", "b", "c"}, Variants[K]);
+    PiecewiseValue V = countSolutions(F, {"a", "b", "c"}, Variants[K]).Value;
     for (int64_t N = 0; N <= 8; ++N)
       EXPECT_EQ(V.evaluate({{"n", BigInt(N)}}),
                 Ref.evaluate({{"n", BigInt(N)}}))
@@ -148,7 +151,7 @@ TEST(SummationEdgeTest, MixedSignSummandExactStrategies) {
   // Σ (i - 3) over 1..n: negative then positive contributions.
   Formula F = parseFormulaOrDie("1 <= i <= n");
   QuasiPolynomial X = qvar("i") - QuasiPolynomial(rat(3));
-  PiecewiseValue V = sumOverFormula(F, {"i"}, X);
+  PiecewiseValue V = sumPolynomial(F, {"i"}, X).Value;
   for (int64_t N = 0; N <= 9; ++N) {
     int64_t Expected = 0;
     for (int64_t I = 1; I <= N; ++I)

@@ -253,7 +253,7 @@ TEST(Validator, ModAtomCanonicalizedOnConstruction) {
 
 TEST(Validator, PiecewiseFromCountIsClean) {
   Formula F = parseFormulaOrDie("1 <= i <= n && 2 | i");
-  PiecewiseValue V = countSolutions(F, {"i"});
+  PiecewiseValue V = countSolutions(F, {"i"}).Value;
   std::vector<Diagnostic> Diags = validatePiecewise(V);
   for (const Diagnostic &D : Diags)
     ADD_FAILURE() << D.toString();

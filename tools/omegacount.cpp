@@ -13,7 +13,7 @@
 //                      argument (provides vars: unless --vars is given)
 //   --sum "i"          sum this polynomial (product of vars and integers)
 //                      instead of counting
-//   --strategy S       splinter | mod | upper | lower | approx
+//   --strategy S       splinter | mod | upper | lower | approx (pugh only)
 //   --at n=5,m=3       evaluate the result at symbol values (repeatable)
 //   --simplify-only    print the disjoint DNF and stop
 //   --sample           print one concrete solution per --at
@@ -29,7 +29,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "counting/Set.h"
-#include "counting/Summation.h"
 #include "presburger/Parser.h"
 #include "support/Budget.h"
 #include "support/Stats.h"
@@ -129,7 +128,6 @@ int runTool(int Argc, char **Argv) {
   std::vector<std::string> Vars;
   std::string SumText;
   std::vector<Assignment> Ats;
-  SumOptions Opts;
   ToolOptions TO;
   bool SimplifyOnly = false, Sample = false;
   std::string FormulaText, FilePath;
@@ -155,15 +153,15 @@ int runTool(int Argc, char **Argv) {
     else if (Arg == "--strategy") {
       std::string S = Next();
       if (S == "splinter")
-        Opts.Strategy = BoundStrategy::Splinter;
+        TO.Count.Strategy = BoundStrategy::Splinter;
       else if (S == "mod")
-        Opts.Strategy = BoundStrategy::SymbolicMod;
+        TO.Count.Strategy = BoundStrategy::SymbolicMod;
       else if (S == "upper")
-        Opts.Strategy = BoundStrategy::UpperBound;
+        TO.Count.Strategy = BoundStrategy::UpperBound;
       else if (S == "lower")
-        Opts.Strategy = BoundStrategy::LowerBound;
+        TO.Count.Strategy = BoundStrategy::LowerBound;
       else if (S == "approx")
-        Opts.Strategy = BoundStrategy::Approximate;
+        TO.Count.Strategy = BoundStrategy::Approximate;
       else
         fail("unknown strategy: " + S);
     } else if (Arg == "--simplify-only")
@@ -177,7 +175,8 @@ int runTool(int Argc, char **Argv) {
              "file unless --vars)\n"
              "  --sum POLY       sum POLY (e.g. \"i*j + 2*i\") over the "
              "solutions\n"
-             "  --strategy S     splinter|mod|upper|lower|approx\n"
+             "  --strategy S     splinter|mod|upper|lower|approx (pugh "
+             "backend)\n"
              "  --at n=5,m=3     evaluate the symbolic answer (repeatable)\n"
              "  --simplify-only  print disjoint DNF only\n"
              "  --sample         print one solution per --at binding\n"
@@ -231,120 +230,68 @@ int runTool(int Argc, char **Argv) {
     return RC;
   };
 
-  if (TO.HaveBackend && !SimplifyOnly) {
-    // Explicit --backend: route through the unified CountResult API and
-    // report which backend answered (and why, under --backend=auto).
-    if (Vars.empty())
-      fail("--vars required for counting");
-    VarSet VS(Vars.begin(), Vars.end());
-    const char *What = SumText.empty() ? "count" : "sum";
-    CountResult R = SumText.empty()
-                        ? countSolutions(F, VS, TO.Count)
-                        : sumPolynomial(F, VS, parseSummand(SumText),
-                                        TO.Count);
-    if (R.Status == CountStatus::Error) {
-      std::cerr << "omegacount: error: " << R.Err.toString() << "\n";
-      return queryOutcomeExitCode(R.outcome());
-    }
+  // Plain mode (no --backend, no budget) prints the disjoint DNF before
+  // the answer; --simplify-only prints it (under the budget, if any) and
+  // stops.
+  const bool Budgeted = TO.HaveBudget && !Budget.unlimited();
+  if (SimplifyOnly || (!TO.HaveBackend && !Budgeted)) {
+    BudgetScope Scope(Budgeted ? std::make_shared<BudgetState>(Budget)
+                               : std::shared_ptr<BudgetState>());
+    SimplifyOptions SOpts;
+    SOpts.Disjoint = true;
+    std::vector<Conjunct> D = simplify(F, SOpts);
+    std::cout << "disjoint DNF (" << D.size() << " clause"
+              << (D.size() == 1 ? "" : "s") << "):\n";
+    for (const Conjunct &C : D)
+      std::cout << "  " << C << "\n";
+    if (SimplifyOnly)
+      return Finish();
+  }
+
+  if (Vars.empty())
+    fail("--vars required for counting");
+  VarSet VS(Vars.begin(), Vars.end());
+  if (VS.size() != Vars.size())
+    fail("duplicate variable in --vars");
+  const char *What = SumText.empty() ? "count" : "sum";
+  QuasiPolynomial X =
+      SumText.empty() ? QuasiPolynomial(Rational(1)) : parseSummand(SumText);
+  CountResult R = sumPolynomial(F, VS, X, TO.Count);
+  if (R.Status == CountStatus::Error) {
+    std::cerr << "omegacount: error: " << R.Err.toString() << "\n";
+    return queryOutcomeExitCode(R.outcome());
+  }
+  // Report which backend answered (and why, under --backend=auto).
+  if (TO.HaveBackend) {
     std::cout << "backend: " << R.Backend;
     if (!R.BackendReason.empty())
       std::cout << " (" << R.BackendReason << ")";
     std::cout << "\n";
-    if (R.Status == CountStatus::Bounded) {
-      std::cout << What << ": UNKNOWN (budget exhausted: " << R.TrippedLimit
-                << ")\n";
-      std::cout << "lower bound:\n  " << R.Lower << "\n";
-      std::cout << "upper bound:\n  " << R.Upper << "\n";
-    } else {
-      std::cout << What << ":\n  " << R.Value << "\n";
-      if (!R.Value.isUnbounded())
-        for (const Assignment &At : Ats) {
-          std::cout << "at";
-          printBindings(At);
-          std::cout << ": " << R.Value.evaluate(At).toString() << "\n";
-        }
-    }
-    return Finish();
   }
-
-  if (TO.HaveBudget && !Budget.unlimited()) {
-    // Budgeted path: no separate DNF print (the exact simplification is
-    // itself subject to the budget inside the budgeted summation).
-    if (SimplifyOnly) {
-      BudgetScope Scope(std::make_shared<BudgetState>(Budget));
-      SimplifyOptions SOpts;
-      SOpts.Disjoint = true;
-      std::vector<Conjunct> D = simplify(F, SOpts);
-      std::cout << "disjoint DNF (" << D.size() << " clause"
-                << (D.size() == 1 ? "" : "s") << "):\n";
-      for (const Conjunct &C : D)
-        std::cout << "  " << C << "\n";
-      return Finish();
-    }
-    if (Vars.empty())
-      fail("--vars required for counting");
-    const char *What = SumText.empty() ? "count" : "sum";
-    BudgetedCount BC =
-        SumText.empty()
-            ? countSolutionsBudgeted(F, VarSet(Vars.begin(), Vars.end()),
-                                     Budget, Opts)
-            : sumOverFormulaBudgeted(F, VarSet(Vars.begin(), Vars.end()),
-                                     parseSummand(SumText), Budget, Opts);
-    if (BC.Status == CountStatus::Error)
-      fail(BC.Err.toString());
-    if (BC.Status != CountStatus::Bounded) {
-      std::cout << What << ":\n  " << BC.Value << "\n";
-      if (!BC.Value.isUnbounded())
-        for (const Assignment &At : Ats) {
-          std::cout << "at";
-          printBindings(At);
-          std::cout << ": " << BC.Value.evaluate(At).toString() << "\n";
-        }
-      return Finish();
-    }
-    std::cout << What << ": UNKNOWN (budget exhausted: " << BC.TrippedLimit
+  if (R.Status == CountStatus::Bounded) {
+    std::cout << What << ": UNKNOWN (budget exhausted: " << R.TrippedLimit
               << ")\n";
-    std::cout << "lower bound:\n  " << BC.Lower << "\n";
-    std::cout << "upper bound:\n  " << BC.Upper << "\n";
+    std::cout << "lower bound:\n  " << R.Lower << "\n";
+    std::cout << "upper bound:\n  " << R.Upper << "\n";
     for (const Assignment &At : Ats) {
       std::cout << "at";
       printBindings(At);
-      std::cout << ": in [" << BC.Lower.evaluate(At).toString() << ", "
-                << (BC.Upper.isUnbounded()
-                        ? std::string("unbounded")
-                        : BC.Upper.evaluate(At).toString())
+      std::cout << ": in [" << R.Lower.evaluate(At).toString() << ", "
+                << (R.Upper.isUnbounded() ? std::string("unbounded")
+                                          : R.Upper.evaluate(At).toString())
                 << "]\n";
     }
     return Finish();
   }
 
-  SimplifyOptions SOpts;
-  SOpts.Disjoint = true;
-  std::vector<Conjunct> D = simplify(F, SOpts);
-  std::cout << "disjoint DNF (" << D.size() << " clause"
-            << (D.size() == 1 ? "" : "s") << "):\n";
-  for (const Conjunct &C : D)
-    std::cout << "  " << C << "\n";
-  if (SimplifyOnly) {
+  std::cout << What << ":\n  " << R.Value << "\n";
+  if (R.Value.isUnbounded())
     return Finish();
-  }
-
-  if (Vars.empty())
-    fail("--vars required for counting");
   PresburgerSet Set(Vars, F);
-
-  PiecewiseValue V = SumText.empty()
-                         ? Set.count(Opts)
-                         : Set.sum(parseSummand(SumText), Opts);
-  std::cout << (SumText.empty() ? "count" : "sum") << ":\n  " << V << "\n";
-  if (V.isUnbounded()) {
-    return Finish();
-  }
-
   for (const Assignment &At : Ats) {
     std::cout << "at";
     printBindings(At);
-    std::cout << ": " << V.evaluate(At).toString() << "\n";
+    std::cout << ": " << R.Value.evaluate(At).toString() << "\n";
     if (Sample) {
       if (std::optional<Assignment> P = Set.sample(At)) {
         std::cout << "  sample:";

@@ -28,7 +28,6 @@
 
 #include "analysis/Validator.h"
 #include "baselines/Enumerator.h"
-#include "counting/Summation.h"
 #include "omega/Omega.h"
 #include "presburger/Parser.h"
 #include "support/Stats.h"
@@ -141,9 +140,20 @@ void lintFile(const std::string &Path, LintStats &Stats) {
   int DnfErrors = reportDiags(Stats, Path, "disjoint-dnf",
                               validateDnf(D, std::move(DnfOpts)));
 
-  // Stage 4: symbolic count.
+  // Stage 4: symbolic count.  A query's own options win over the
+  // tool-level scope, so the shared flags (--no-cache, --budget,
+  // --backend) reach the count only through TO.Count.
   VarSet Vars(In.Vars.begin(), In.Vars.end());
-  PiecewiseValue V = countSolutions(F, Vars);
+  CountResult CR = countSolutions(F, Vars, TO.Count);
+  if (CR.Status == CountStatus::Error) {
+    problem(Stats, Path, "count: " + CR.Err.toString());
+    return;
+  }
+  if (CR.Status == CountStatus::Bounded) {
+    problem(Stats, Path, "count: budget exhausted: " + CR.TrippedLimit);
+    return;
+  }
+  const PiecewiseValue &V = CR.Value;
   reportDiags(Stats, Path, "count", validatePiecewise(V));
 
   std::cout << Path << ": " << D.size() << " clause"
