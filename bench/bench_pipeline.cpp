@@ -77,8 +77,8 @@ struct ConfigResult {
   PipelineStatsSnapshot Stats{};
 };
 
-/// Runs the workload once under the given knobs from a fully reset state
-/// (unless \p Warm, which keeps the cache from the previous run).  Each
+/// Runs the workload once under the given knobs from a cold cache (unless
+/// \p Warm, which keeps the cache from the previous run).  Each
 /// query goes through the options-taking entry point, which installs a
 /// per-query context (support/QueryContext.h) rather than process state.
 ConfigResult runConfig(const std::string &Name, int Scale, int Reps,
@@ -97,10 +97,8 @@ ConfigResult runConfig(const std::string &Name, int Scale, int Reps,
 
   double BestMs = -1;
   for (int Rep = 0; Rep < Reps; ++Rep) {
-    if (!Warm) {
+    if (!Warm)
       clearConjunctCache();
-      resetWildcardState();
-    }
     Formula F = workload(Scale);
     auto T0 = std::chrono::steady_clock::now();
     CountResult CR = countSolutions(F, VarSet{"i", "j"}, CO);

@@ -197,7 +197,6 @@ int main(int Argc, char **Argv) {
     // Fresh server and fresh cache per configuration, so each cold column
     // really is cold and configurations do not contaminate each other.
     clearConjunctCache();
-    resetWildcardState();
     ServerOptions Opts;
     Opts.SocketPath = "/tmp/bench-omegad-" + std::to_string(::getpid()) +
                       "-" + std::to_string(Connections) + ".sock";
@@ -217,7 +216,6 @@ int main(int Argc, char **Argv) {
     // an emptied cache every time, a warm rep keeps what cold populated.
     for (int Rep = 0; Rep < Reps; ++Rep) {
       clearConjunctCache();
-      resetWildcardState();
       PassResult P = runPass(Opts.SocketPath, QuerySet, Connections);
       if (Rep == 0 || (P.Ok && P.WallMs < R.Cold.WallMs))
         R.Cold = std::move(P);

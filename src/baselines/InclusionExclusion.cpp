@@ -24,7 +24,7 @@ omega::countUnionInclusionExclusion(const std::vector<Conjunct> &Clauses,
       continue; // An empty intersection contributes nothing.
     ++R.NumSummations;
     PiecewiseValue Term =
-        sumOverConjunct(Inter, Vars, QuasiPolynomial(Rational(1)));
+        countSolutions(Formula::fromConjunct(Inter), Vars).Value;
     if (Term.isUnbounded()) {
       R.Value = PiecewiseValue::unbounded();
       return R;

@@ -19,7 +19,7 @@
 #ifndef OMEGA_BASELINES_INCLUSIONEXCLUSION_H
 #define OMEGA_BASELINES_INCLUSIONEXCLUSION_H
 
-#include "counting/Summation.h"
+#include "omega/Omega.h"
 
 namespace omega {
 

@@ -14,6 +14,7 @@
 
 #include "counting/Backend.h"
 
+#include "presburger/Var.h"
 #include "support/BigInt.h"
 #include "support/QueryContext.h"
 #include "support/ThreadAnnotations.h"
@@ -103,6 +104,11 @@ CountResult omega::sumPolynomial(const Formula &F, const VarSet &Vars,
   CountResult Out;
   try {
     QueryContextScope Scope(Ctx);
+    // Every wildcard the query mints is named "$q<depth>x<n>" from here, so
+    // its names (and so its answer) are a function of the query alone and
+    // repeat from one query to the next instead of growing the symbol table
+    // (DESIGN.md §8).
+    PinnedScope Names(PinnedScope::Query);
     ScopedTraceSession Trace(Opts.CollectTrace);
     // Backend selection and the per-backend algorithms live in
     // counting/Backend.cpp; the default (Pugh) reproduces the pre-PR-7

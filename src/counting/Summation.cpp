@@ -603,27 +603,6 @@ private:
   unsigned Depth = 0;
 };
 
-} // namespace
-
-PiecewiseValue omega::sumOverConjunct(const Conjunct &C, const VarSet &Vars,
-                                      const QuasiPolynomial &X) {
-  PhaseTimer Timer(pipelineStats().SummationNanos);
-  TraceSpan Span("summation");
-  Span.count(TraceCounter::ConstraintsIn, C.constraints().size());
-  const CountOptions Defaults;
-  Summer S(Defaults);
-  S.sumClause(C, Vars, X);
-  if (S.Unbounded)
-    return PiecewiseValue::unbounded();
-  S.Out.mergeSyntactic();
-#ifdef OMEGA_VALIDATE
-  validateOrDie(validatePiecewise(S.Out), "omega::sumOverConjunct");
-#endif
-  return std::move(S.Out);
-}
-
-namespace {
-
 /// Post-pass: merge pieces with equal values whose guards are identical
 /// except for one stride constraint, when the residues present cover the
 /// whole modulus — the union over r of (m | e - r) is True.  This is the
@@ -729,58 +708,6 @@ void coalesceEqualValuePieces(PiecewiseValue &V) {
   }
 }
 
-/// The exact pass: disjoint DNF, then one Summer per clause.  Returns the
-/// unbounded marker if some counted variable is not bounded both ways.
-PiecewiseValue sumExact(const Formula &F, const VarSet &Vars,
-                        const QuasiPolynomial &X, const CountOptions &Opts) {
-  SimplifyOptions SOpts;
-  SOpts.Disjoint = true;
-  std::vector<Conjunct> Clauses = simplify(F, SOpts);
-
-  // The clauses are pairwise disjoint, so each is summed by its own Summer
-  // as an independent work item; concatenating the per-clause pieces in
-  // clause order reproduces the serial single-Summer accumulation.  (The
-  // serial code stopped at the first unbounded clause; computing the rest
-  // only costs time, never changes the answer.)
-  PhaseTimer Timer(pipelineStats().SummationNanos);
-  TraceSpan Span("summation");
-  Span.count(TraceCounter::ClausesIn, Clauses.size());
-  std::vector<PiecewiseValue> Parts(Clauses.size());
-  std::vector<char> Unbounded(Clauses.size(), 0);
-  forEachDisjunct(Clauses.size(), [&](size_t I) {
-    Summer S(Opts);
-    S.sumClause(Clauses[I], Vars, X);
-    if (S.Unbounded)
-      Unbounded[I] = 1;
-    else
-      Parts[I] = std::move(S.Out);
-  });
-  for (char U : Unbounded)
-    if (U)
-      return PiecewiseValue::unbounded();
-
-  PiecewiseValue V;
-  for (PiecewiseValue &P : Parts)
-    for (Piece &Pc : P.pieces())
-      V.pieces().push_back(std::move(Pc));
-  // Final cleanup: drop pieces whose guard is infeasible and merge equal
-  // guards.
-  auto &Pieces = V.pieces();
-  Pieces.erase(std::remove_if(Pieces.begin(), Pieces.end(),
-                              [](const Piece &P) {
-                                return !feasible(P.Guard);
-                              }),
-               Pieces.end());
-  V.mergeSyntactic();
-  mergeResidueCompletePieces(V);
-  coalesceEqualValuePieces(V);
-  V.mergeSyntactic();
-#ifdef OMEGA_VALIDATE
-  validateOrDie(validatePiecewise(V), "omega::pughCount");
-#endif
-  return V;
-}
-
 /// Sums every clause of an (approximating) DNF with the given strategy and
 /// concatenates the pieces.  PiecewiseValue sums matching guards, so the
 /// result represents Σ_clauses sum(clause) — an upper bound for an
@@ -807,6 +734,30 @@ std::optional<PiecewiseValue> sumClauseList(const std::vector<Conjunct> &Cs,
                    V.pieces().end());
   V.mergeSyntactic();
   return V;
+}
+
+/// The exact pass: disjoint DNF, then one Summer per clause.  Returns the
+/// unbounded marker if some counted variable is not bounded both ways.
+PiecewiseValue sumExact(const Formula &F, const VarSet &Vars,
+                        const QuasiPolynomial &X, const CountOptions &Opts) {
+  SimplifyOptions SOpts;
+  SOpts.Disjoint = true;
+  std::vector<Conjunct> Clauses = simplify(F, SOpts);
+
+  // The clauses are pairwise disjoint, so the per-clause sums add.
+  PhaseTimer Timer(pipelineStats().SummationNanos);
+  TraceSpan Span("summation");
+  Span.count(TraceCounter::ClausesIn, Clauses.size());
+  std::optional<PiecewiseValue> V = sumClauseList(Clauses, Vars, X, Opts);
+  if (!V)
+    return PiecewiseValue::unbounded();
+  mergeResidueCompletePieces(*V);
+  coalesceEqualValuePieces(*V);
+  V->mergeSyntactic();
+#ifdef OMEGA_VALIDATE
+  validateOrDie(validatePiecewise(*V), "omega::pughCount");
+#endif
+  return std::move(*V);
 }
 
 } // namespace

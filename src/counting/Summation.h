@@ -49,13 +49,6 @@ namespace omega {
 CountResult pughCount(const Formula &F, const VarSet &Vars,
                       const QuasiPolynomial &X, const CountOptions &Opts);
 
-/// Sums X over one clause (already wildcard-free or with functional
-/// wildcards, e.g. straight from simplify()) with the default options.
-/// Exposed for tests and for callers that pre-simplify; clause unions must
-/// be disjoint for addition of the results to be meaningful.
-PiecewiseValue sumOverConjunct(const Conjunct &C, const VarSet &Vars,
-                               const QuasiPolynomial &X);
-
 } // namespace omega
 
 #endif // OMEGA_COUNTING_SUMMATION_H

@@ -8,13 +8,15 @@
 //
 //   * canonicalConjunct sorts and normalizes constraints, so every clause
 //     with the same key presents the Projector with an identical problem;
-//   * the pinned scope ("k<depth>") means any wildcards minted during the
-//     computation have names that depend only on the nesting depth of
-//     memoized computations on this thread — not on global counter state or
-//     on which thread (or in which order) racing misses run.  Returned
-//     clauses are wildcard-free (the Omega.h invariant), so pinned names
-//     never escape into results; they only steer internal elimination
-//     order, identically for every computation of the same key.
+//   * the pinned scope ("k<depth>", presburger/Var.h) means any wildcards
+//     minted during the computation have names that depend only on the
+//     nesting depth of memoized computations on this thread — a nested
+//     miss (e.g. the feasibility probes a Disjoint projection makes) gets
+//     "k<depth+1>" — not on the enclosing query's scope or on which thread
+//     (or in which order) racing misses run.  Returned clauses are
+//     wildcard-free (the Omega.h invariant), so pinned names never escape
+//     into results; they only steer internal elimination order,
+//     identically for every computation of the same key.
 //
 // Together these make it safe for racing threads to populate the same key:
 // whichever insert lands first, the value is the same.  See DESIGN.md §8.
@@ -55,22 +57,6 @@ LruCache<std::vector<Conjunct>> &projCache() {
   return C;
 }
 
-/// Nesting depth of in-flight memoized computations on this thread.  A
-/// miss at depth d computes under scope "k<d>"; nested misses (e.g. the
-/// feasibility probes a Disjoint projection makes) get "k<d+1>".  The
-/// depth a computation sees depends only on the key's own recursion
-/// structure, so pinned names are reproducible per key.
-thread_local unsigned PinDepth = 0;
-
-class PinnedScope {
-public:
-  PinnedScope() : Scope("k" + std::to_string(PinDepth++)) {}
-  ~PinnedScope() { --PinDepth; }
-
-private:
-  WildcardScope Scope;
-};
-
 /// Whether the *current query* participates in memoization: the storage
 /// must have capacity, and the active QueryContext (if any) must not have
 /// opted out.  Queries outside any context (direct API probes in tests)
@@ -105,8 +91,12 @@ bool omega::feasible(const Conjunct &C) {
   // hit the cache costs more than answering it.
   if (C.constraints().empty())
     return true;
-  if (!cacheEnabled())
+  if (!cacheEnabled()) {
+    // Pinned as on a miss, so the wildcards the test mints repeat from call
+    // to call instead of running on the enclosing query's sequence.
+    PinnedScope Pin(PinnedScope::Memo);
     return detail::feasibleImpl(C);
+  }
 
   CanonicalConjunct Canon = canonicalConjunct(C);
   if (Canon.Key == "UNSAT")
@@ -120,7 +110,7 @@ bool omega::feasible(const Conjunct &C) {
   traceCount(TraceCounter::CacheMisses);
   bool Result;
   {
-    PinnedScope Pin;
+    PinnedScope Pin(PinnedScope::Memo);
     Result = detail::feasibleImpl(Canon.C);
   }
   pipelineStats().CacheEvictions += feasCache().insert(Canon.Key, Result);
@@ -135,11 +125,11 @@ std::vector<Conjunct> omega::projectVars(const Conjunct &C, const VarSet &Vars,
   // Projection always runs on the canonical clause under a pinned scope —
   // even with the cache disabled — so its result (including constraint
   // order within returned clauses) is a function of the clause alone, not
-  // of the cache knob.  feasible() below skips this on the uncached path
-  // because a bool cannot carry ordering.
+  // of the cache knob.  feasible() skips the canonicalization on the
+  // uncached path because a bool cannot carry ordering.
   CanonicalConjunct Canon = canonicalConjunct(C);
   if (!cacheEnabled()) {
-    PinnedScope Pin;
+    PinnedScope Pin(PinnedScope::Memo);
     std::vector<Conjunct> Result = detail::projectVarsImpl(Canon.C, Vars, Mode);
     Span.count(TraceCounter::ClausesOut, Result.size());
     return Result;
@@ -156,7 +146,7 @@ std::vector<Conjunct> omega::projectVars(const Conjunct &C, const VarSet &Vars,
   Span.count(TraceCounter::CacheMisses);
   std::vector<Conjunct> Result;
   {
-    PinnedScope Pin;
+    PinnedScope Pin(PinnedScope::Memo);
     Result = detail::projectVarsImpl(Canon.C, Vars, Mode);
   }
   pipelineStats().CacheEvictions += projCache().insert(Key, Result);

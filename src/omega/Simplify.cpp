@@ -75,21 +75,15 @@ Formula renameFree(const Formula &F,
 /// fixpoint of Constraint::normalize() with no trivial or duplicate
 /// constraints and no unused wildcard declarations.
 void pruneInfeasible(std::vector<Conjunct> &Clauses) {
-  // Per-clause feasibility tests are independent; survivors are compacted
-  // in index order, matching the serial loop.
-  std::vector<char> Keep(Clauses.size(), 0);
-  forEachDisjunct(Clauses.size(), [&](size_t I) {
-    if (!normalizeConjunct(Clauses[I]))
-      return;
-    Clauses[I].pruneUnusedWildcards();
-    if (feasible(Clauses[I]))
-      Keep[I] = 1;
-  });
   std::vector<Conjunct> Kept;
   Kept.reserve(Clauses.size());
-  for (size_t I = 0; I < Clauses.size(); ++I)
-    if (Keep[I])
-      Kept.push_back(std::move(Clauses[I]));
+  for (Conjunct &C : Clauses) {
+    if (!normalizeConjunct(C))
+      continue;
+    C.pruneUnusedWildcards();
+    if (feasible(C))
+      Kept.push_back(std::move(C));
+  }
   Clauses = std::move(Kept);
 }
 
@@ -105,18 +99,13 @@ std::vector<Conjunct> crossConjoin(const std::vector<Conjunct> &A,
   // is what the clause budget meters (a container-size check, so whether
   // it trips is a function of the query alone).
   chargeClauses(A.size() * B.size(), "simplify");
-  // Row-major pair index space; each feasible merge lands in its own slot,
-  // so compacting the slots reproduces the serial double-loop order.
-  std::vector<std::optional<Conjunct>> Merged(A.size() * B.size());
-  forEachDisjunct(Merged.size(), [&](size_t I) {
-    Conjunct M = Conjunct::merge(A[I / B.size()], B[I % B.size()]);
-    if (feasible(M))
-      Merged[I] = std::move(M);
-  });
   std::vector<Conjunct> Out;
-  for (std::optional<Conjunct> &M : Merged)
-    if (M)
-      Out.push_back(std::move(*M));
+  for (const Conjunct &L : A)
+    for (const Conjunct &R : B) {
+      Conjunct M = Conjunct::merge(L, R);
+      if (feasible(M))
+        Out.push_back(std::move(M));
+    }
   Span.count(TraceCounter::ClausesOut, Out.size());
   return Out;
 }
@@ -156,16 +145,12 @@ std::vector<Conjunct> toDNF(const Formula &F, ShadowMode Mode) {
     return Acc;
   }
   case FormulaKind::Or: {
-    // Disjunction children lower independently; concatenating the
-    // per-child slots in index order matches the serial accumulation.
-    const std::vector<Formula> &Kids = F.children();
-    std::vector<std::vector<Conjunct>> Parts(Kids.size());
-    forEachDisjunct(Kids.size(),
-                    [&](size_t I) { Parts[I] = toDNF(Kids[I], Mode); });
     std::vector<Conjunct> Acc;
-    for (std::vector<Conjunct> &D : Parts)
+    for (const Formula &Child : F.children()) {
+      std::vector<Conjunct> D = toDNF(Child, Mode);
       Acc.insert(Acc.end(), std::make_move_iterator(D.begin()),
                  std::make_move_iterator(D.end()));
+    }
     chargeClauses(Acc.size(), "simplify");
     return Acc;
   }
@@ -185,16 +170,12 @@ std::vector<Conjunct> toDNF(const Formula &F, ShadowMode Mode) {
       Map.emplace(V, W);
       Fresh.insert(W);
     }
-    std::vector<Conjunct> Body = toDNF(renameFree(F.body(), Map), Mode);
-    // Each body clause projects independently.
-    std::vector<std::vector<Conjunct>> Parts(Body.size());
-    forEachDisjunct(Body.size(), [&](size_t I) {
-      Parts[I] = projectVars(Body[I], Fresh, Mode);
-    });
     std::vector<Conjunct> Out;
-    for (std::vector<Conjunct> &P : Parts)
+    for (const Conjunct &C : toDNF(renameFree(F.body(), Map), Mode)) {
+      std::vector<Conjunct> P = projectVars(C, Fresh, Mode);
       Out.insert(Out.end(), std::make_move_iterator(P.begin()),
                  std::make_move_iterator(P.end()));
+    }
     return Out;
   }
   case FormulaKind::Forall:
@@ -344,9 +325,7 @@ bool boxesDisjoint(const SyntacticBox &A, const SyntacticBox &B) {
 
 /// Builds the symmetric clause-overlap graph (edge iff two clauses share an
 /// integer point).  Pairs whose syntactic boxes are disjoint are rejected
-/// up front; the rest run the feasibility test.  Each row's pair tests run
-/// as one disjunct item; item I writes only row I, and the lower triangle
-/// is mirrored afterwards.
+/// up front; the rest run the feasibility test.
 std::vector<std::vector<bool>>
 overlapGraph(const std::vector<Conjunct> &Clauses) {
   size_t N = Clauses.size();
@@ -355,18 +334,13 @@ overlapGraph(const std::vector<Conjunct> &Clauses) {
   Boxes.reserve(N);
   for (const Conjunct &C : Clauses)
     Boxes.push_back(syntacticBox(C));
-  forEachDisjunct(N, [&](size_t I) {
+  for (size_t I = 0; I < N; ++I)
     for (size_t J = I + 1; J < N; ++J) {
       if (boxesDisjoint(Boxes[I], Boxes[J]))
         continue;
       if (feasible(Conjunct::merge(Clauses[I], Clauses[J])))
-        Adj[I][J] = true;
+        Adj[I][J] = Adj[J][I] = true;
     }
-  });
-  for (size_t I = 0; I < N; ++I)
-    for (size_t J = I + 1; J < N; ++J)
-      if (Adj[I][J])
-        Adj[J][I] = true;
   return Adj;
 }
 
@@ -437,9 +411,8 @@ std::vector<Conjunct> omega::simplify(const Formula &F, SimplifyOptions Opts) {
     }
     pruneInfeasible(D);
     pipelineStats().ClausesSimplified += D.size();
-    forEachDisjunct(D.size(), [&](size_t I) {
-      removeRedundant(D[I], /*Aggressive=*/true);
-    });
+    for (Conjunct &C : D)
+      removeRedundant(C, /*Aggressive=*/true);
     removeSubsumed(D);
   }
   if (Opts.Disjoint) {
@@ -821,28 +794,22 @@ std::vector<Conjunct> makeDisjointComponent(std::vector<Conjunct> Clauses) {
       Reduced.add(std::move(K));
   }
 
-  // Groups from distinct negation pieces are disjoint, so each piece's
-  // intersection-and-recursion is an independent work item; groups are
-  // appended in piece order, matching the serial loop.
-  std::vector<Conjunct> Pieces = negateConjunct(Reduced);
-  std::vector<std::vector<Conjunct>> Groups(Pieces.size());
-  forEachDisjunct(Pieces.size(), [&](size_t PI) {
+  // Groups from distinct negation pieces are disjoint; each is made
+  // disjoint within itself by recursion and appended in piece order.
+  std::vector<Conjunct> Result{std::move(C1)};
+  for (const Conjunct &Piece : negateConjunct(Reduced)) {
     std::vector<Conjunct> Group;
     for (const Conjunct &Cj : Clauses) {
-      Conjunct M = Conjunct::merge(Cj, Pieces[PI]);
+      Conjunct M = Conjunct::merge(Cj, Piece);
       if (feasible(M)) {
         removeRedundant(M, /*Aggressive=*/true);
         Group.push_back(std::move(M));
       }
     }
-    // Within a group, recurse.
-    Groups[PI] = makeDisjointImpl(std::move(Group));
-  });
-
-  std::vector<Conjunct> Result{std::move(C1)};
-  for (std::vector<Conjunct> &Group : Groups)
+    Group = makeDisjointImpl(std::move(Group));
     Result.insert(Result.end(), std::make_move_iterator(Group.begin()),
                   std::make_move_iterator(Group.end()));
+  }
   return Result;
 }
 

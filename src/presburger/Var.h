@@ -30,7 +30,6 @@
 #include "presburger/VarTable.h"
 #include "support/BigInt.h"
 
-#include <functional>
 #include <initializer_list>
 #include <iterator>
 #include <stdexcept>
@@ -352,9 +351,10 @@ private:
   std::vector<Entry> Entries; ///< Sorted by id (merge-join order).
 };
 
-/// Returns a process-unique wildcard name "$<n>", or a scope-local name
-/// "$<prefix>x<n>" while a WildcardScope is active on the calling thread.
-/// Shim over freshWildcardId() (VarTable.h) for name-level callers.
+/// Returns a fresh wildcard name: "$<prefix>x<n>" from the innermost
+/// WildcardScope on the calling thread, or the process-unique "$<n>"
+/// outside any scope.  Shim over freshWildcardId() (VarTable.h) for
+/// name-level callers.
 std::string freshWildcard();
 
 /// Returns true for names produced by freshWildcard().  Prefer
@@ -364,43 +364,43 @@ inline bool isWildcardName(const std::string &Name) {
 }
 
 /// RAII: routes freshWildcard() on the calling thread into a private
-/// namespace "$<Prefix>x0, $<Prefix>x1, ...".
-///
-/// This upholds the naming invariant (DESIGN.md §8): the wildcard names a
-/// query mints — and so, since orderings are name-based, its printed
-/// answer — must not depend on process history.  Outside a scope, names
-/// come from a process-wide counter, so every work item of a query runs
-/// under a scope named by its position (forEachDisjunct), and every
-/// memoized computation under a pinned one.  Scopes nest (the previous
-/// scope is restored on destruction) and are cheap enough to enter per
-/// work item.
+/// namespace "$<Prefix>x0, $<Prefix>x1, ...".  Scopes nest: the previous
+/// scope is restored on destruction, and its counter resumes where it
+/// stopped.
 class WildcardScope {
 public:
-  explicit WildcardScope(const std::string &Prefix);
+  explicit WildcardScope(std::string Prefix);
   ~WildcardScope();
   WildcardScope(const WildcardScope &) = delete;
   WildcardScope &operator=(const WildcardScope &) = delete;
 
 private:
-  void *State; ///< Opaque ScopeState, chained to the previous scope.
+  friend VarId freshWildcardId();
+
+  std::string Prefix;
+  unsigned Counter = 0; ///< Next "$<Prefix>x<n>" suffix.
+  WildcardScope *Prev;  ///< The scope this one shadows, if any.
 };
 
-/// Allocates the next batch prefix: scope-local when a scope is active
-/// ("<scope>b<k>"), otherwise process-global ("g<k>").
-std::string nextWildcardBatchPrefix();
+/// A WildcardScope named by its role and by how many scopes of that role
+/// are open on the calling thread: "q<d>" for a query (sumPolynomial),
+/// "k<d>" for feasible() or projectVars() (omega/Cache.cpp).  It upholds
+/// the naming invariant of DESIGN.md §8: the names a query mints, and so
+/// its answer, depend on the query alone, and they repeat from one query
+/// to the next instead of growing the symbol table.
+class PinnedScope {
+public:
+  enum Role : unsigned { Query, Memo };
 
-/// Runs Fn(0..N-1) in index order, item I under WildcardScope(Base + "t" +
-/// I) for one fresh batch prefix Base.  The per-item disjunct loops of the
-/// pipeline (DNF clauses, splinter groups, per-clause summations) go
-/// through here so the names an item mints come from its position, not
-/// from the process-wide counter.
-void forEachDisjunct(size_t N, const std::function<void(size_t)> &Fn);
+  explicit PinnedScope(Role R);
+  ~PinnedScope();
+  PinnedScope(const PinnedScope &) = delete;
+  PinnedScope &operator=(const PinnedScope &) = delete;
 
-/// Resets the process-global wildcard and batch counters to zero so a
-/// repeated run mints identical names.  Test/bench hook only: existing
-/// clauses keep their names, so mixing objects from before and after a
-/// reset can capture wildcards.  Must be called with no scope active.
-void resetWildcardState();
+private:
+  Role R;
+  WildcardScope Scope;
+};
 
 } // namespace omega
 

@@ -48,17 +48,16 @@ uint32_t rawFor(uint32_t Idx, std::string_view Name) {
   return Idx | (Wildcard ? VarId::WildcardBit : 0);
 }
 
-/// Per-thread scope for deterministic wildcard naming (see WildcardScope).
-struct ScopeState {
-  std::string Prefix;
-  unsigned Counter = 0; ///< Next "$<Prefix>x<n>" suffix.
-  unsigned Batches = 0; ///< Next nested batch id.
-  ScopeState *Prev = nullptr;
-};
-
-thread_local ScopeState *CurScope = nullptr;
+/// Innermost WildcardScope on this thread (see Var.h).
+thread_local WildcardScope *CurScope = nullptr;
+/// Open PinnedScopes on this thread, per role.
+thread_local unsigned PinDepth[2] = {};
+/// Source of "$<n>" for mints outside any scope.
 std::atomic<unsigned> GlobalCounter{0};
-std::atomic<unsigned> GlobalBatches{0};
+
+std::string pinnedPrefix(PinnedScope::Role R) {
+  return (R == PinnedScope::Query ? "q" : "k") + std::to_string(PinDepth[R]++);
+}
 
 } // namespace
 
@@ -109,7 +108,7 @@ int omega::compareVarNames(VarId L, VarId R) {
 }
 
 VarId omega::freshWildcardId() {
-  if (ScopeState *S = CurScope) {
+  if (WildcardScope *S = CurScope) {
     std::string Name;
     Name.reserve(S->Prefix.size() + 8);
     Name += '$';
@@ -127,42 +126,16 @@ uint32_t omega::varTableSize() {
 
 std::string omega::freshWildcard() { return varName(freshWildcardId()); }
 
-WildcardScope::WildcardScope(const std::string &Prefix) {
-  // ScopeState is an incomplete type at the header's State pointer, and
-  // the scope stack must pop in strict LIFO order even through exceptions
-  // (the destructor owns it).  omegatidy: allow(naked-new)
-  auto *S = new ScopeState;
-  S->Prefix = Prefix;
-  S->Prev = CurScope;
-  CurScope = S;
-  State = S;
+WildcardScope::WildcardScope(std::string Prefix)
+    : Prefix(std::move(Prefix)), Prev(CurScope) {
+  CurScope = this;
 }
 
 WildcardScope::~WildcardScope() {
-  auto *S = static_cast<ScopeState *>(State);
-  check(CurScope == S, "wildcard scopes must nest strictly");
-  CurScope = S->Prev;
-  delete S;
+  check(CurScope == this, "wildcard scopes must nest strictly");
+  CurScope = Prev;
 }
 
-std::string omega::nextWildcardBatchPrefix() {
-  if (ScopeState *S = CurScope)
-    return S->Prefix + "b" + std::to_string(S->Batches++);
-  return "g" + std::to_string(GlobalBatches.fetch_add(1));
-}
+PinnedScope::PinnedScope(Role R) : R(R), Scope(pinnedPrefix(R)) {}
 
-void omega::forEachDisjunct(size_t N, const std::function<void(size_t)> &Fn) {
-  if (N == 0)
-    return;
-  const std::string Base = nextWildcardBatchPrefix();
-  for (size_t I = 0; I < N; ++I) {
-    WildcardScope Scope(Base + "t" + std::to_string(I));
-    Fn(I);
-  }
-}
-
-void omega::resetWildcardState() {
-  check(!CurScope, "cannot reset wildcard state inside a scope");
-  GlobalCounter.store(0);
-  GlobalBatches.store(0);
-}
+PinnedScope::~PinnedScope() { --PinDepth[R]; }

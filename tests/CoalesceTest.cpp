@@ -109,12 +109,11 @@ Formula unionFormula(const std::vector<Conjunct> &Clauses) {
   return Formula::disj(std::move(Parts));
 }
 
-/// Counts the union with the given backend from a reset process state.
+/// Counts the union with the given backend from a cold cache.
 /// Returns the exact value's string, or nullopt if the backend refused.
 std::optional<std::string> countWith(const std::vector<Conjunct> &Clauses,
                                      BackendKind Backend) {
   clearConjunctCache();
-  resetWildcardState();
   CountOptions CO;
   CO.Backend = Backend;
   CountResult CR = countSolutions(unionFormula(Clauses), VarSet{"x", "y"}, CO);
@@ -157,11 +156,9 @@ TEST(Coalesce, WorklistMatchesSeedOnFuzz) {
     std::vector<Conjunct> Clauses = randomUnion(Rng);
 
     clearConjunctCache();
-    resetWildcardState();
     std::vector<Conjunct> Seed = seedCoalesce(Clauses);
 
     clearConjunctCache();
-    resetWildcardState();
     std::vector<Conjunct> Fast = Clauses;
     coalesceClauses(Fast);
 

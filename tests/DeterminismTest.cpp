@@ -5,10 +5,9 @@
 // piecewise answer must be *textually* identical with the cache on and
 // off, and no matter what the process counted or which wildcard names it
 // minted before.  This runs a fuzz corpus plus every
-// examples/formulas/*.presburger file from a fully reset state (wildcard
-// counters + cache) with the cache on and off, comparing the printed
-// results character for character, and then recounts after unrelated
-// work without resetting the wildcard counters.
+// examples/formulas/*.presburger file from a cold cache with the cache on
+// and off, comparing the printed results character for character, and
+// then recounts after unrelated wildcard mints and counts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,8 +30,8 @@ using namespace omega;
 
 namespace {
 
-/// Counts \p Text over \p Vars with the current wildcard counters and cache
-/// contents and returns the printed piecewise answer.
+/// Counts \p Text over \p Vars with the current cache contents and
+/// returns the printed piecewise answer.
 std::string countNow(const std::string &Text,
                      const std::vector<std::string> &Vars, bool CacheEnabled) {
   ParseResult R = parseFormula(Text);
@@ -47,13 +46,12 @@ std::string countNow(const std::string &Text,
   return CR.Value.toString();
 }
 
-/// Counts \p Text over \p Vars from a reset state (wildcard counters and
-/// cache) and returns the printed piecewise answer.
+/// Counts \p Text over \p Vars from a cold cache and returns the printed
+/// piecewise answer.
 std::string countToString(const std::string &Text,
                           const std::vector<std::string> &Vars,
                           bool CacheEnabled) {
   clearConjunctCache();
-  resetWildcardState();
   return countNow(Text, Vars, CacheEnabled);
 }
 
@@ -107,9 +105,9 @@ TEST(Determinism, ExampleFormulas) {
 
 /// The naming invariant (DESIGN.md §8): wildcard names, and with them the
 /// name-based orderings that shape a printed answer, must not depend on
-/// process history.  Each query is counted from a reset state, then the
-/// process mints unrelated wildcards and runs unrelated counts *without*
-/// resetting the counters, and the recount must print the same answer.
+/// process history.  Each query is counted once, then the process mints
+/// unrelated wildcards and runs unrelated counts, and the recount must
+/// print the same answer.
 TEST(Determinism, AnswersIndependentOfWildcardHistory) {
   std::vector<Query> Queries = exampleQueries();
   // An omegad-open query whose printed answer once moved after seven
@@ -143,6 +141,35 @@ TEST(Determinism, AnswersIndependentOfWildcardHistory) {
       }
     }
   }
+}
+
+/// The symbol table is bounded per query shape (DESIGN.md §16): each query
+/// mints its wildcards under one pinned scope, so its names are a function
+/// of the query alone and repeat from query to query.  A stream of
+/// distinct queries therefore grows the table only by the largest number
+/// of names one query mints — far fewer names than queries — and
+/// replaying the stream grows it by nothing.  Alternating the cache covers
+/// both the cached path and the uncached one.
+TEST(Determinism, SymbolTableFlatAcrossDistinctQueries) {
+  std::vector<fuzz::FuzzCase> Stream;
+  fuzz::Generator Gen(/*Seed=*/23);
+  for (int Q = 0; Q < 1000; ++Q)
+    Stream.push_back(Gen.next());
+  auto RunStream = [&] {
+    for (size_t Q = 0; Q < Stream.size(); ++Q) {
+      SCOPED_TRACE("query " + std::to_string(Q) + ": " + Stream[Q].Text);
+      (void)countNow(Stream[Q].Text, Stream[Q].Vars,
+                     /*CacheEnabled=*/Q % 2 == 0);
+    }
+  };
+  const uint32_t Before = varTableSize();
+  RunStream();
+  const uint32_t Warm = varTableSize();
+  EXPECT_LT(Warm - Before, Stream.size() / 10)
+      << "the table grew with the number of distinct queries";
+  RunStream();
+  EXPECT_EQ(varTableSize(), Warm)
+      << "the second half of the run interned new names";
 }
 
 } // namespace

@@ -29,20 +29,18 @@ using namespace omega;
 namespace {
 
 /// Baseline: a top-level count with default options (no enclosing
-/// context), from reset state.
+/// context), from a cold cache.
 std::string plainCount(const Formula &F, const VarSet &Vars) {
   clearConjunctCache();
-  resetWildcardState();
   PiecewiseValue V = countSolutions(F, Vars).Value;
   return V.toString();
 }
 
-/// Options path under the given knobs, from reset state.  Runs inside a
+/// Options path under the given knobs, from a cold cache.  Runs inside a
 /// deliberately *different* enclosing context to prove the query's own
 /// options win over whatever environment it nests in.
 std::string optionsCount(const Formula &F, const VarSet &Vars, bool Cache) {
   clearConjunctCache();
-  resetWildcardState();
   QueryContext Enclosing;
   Enclosing.CacheEnabled = !Cache;
   QueryContextScope Scope(Enclosing);
@@ -80,7 +78,6 @@ TEST(QueryApi, SumPolynomialDifferential) {
   QuasiPolynomial X = QuasiPolynomial::variable("i");
 
   clearConjunctCache();
-  resetWildcardState();
   CountResult CR = sumPolynomial(*R.Value, Vars, X);
   EXPECT_TRUE(CR.exact());
   EXPECT_EQ(CR.Value.toString(),
@@ -97,7 +94,6 @@ TEST(QueryApi, BudgetedDifferential) {
   ASSERT_TRUE(Budget.ok());
 
   clearConjunctCache();
-  resetWildcardState();
   CountOptions CO;
   CO.Budget = *Budget;
   CountResult CR = countSolutions(*R.Value, Vars, CO);
@@ -111,7 +107,6 @@ TEST(QueryApi, BudgetedDifferential) {
   auto Big = EffortBudget::parse("clauses=64");
   ASSERT_TRUE(Big.ok());
   clearConjunctCache();
-  resetWildcardState();
   CountOptions CO2;
   CO2.Budget = *Big;
   CountResult Exact = countSolutions(*R.Value, Vars, CO2);
@@ -127,14 +122,12 @@ TEST(QueryApi, StatsAreAPerQueryDelta) {
   CountOptions CO;
   CO.CollectStats = true;
 
-  // Two identical serial queries from reset state: each delta covers only
+  // Two identical serial queries from a cold cache: each delta covers only
   // its own query, so the two snapshots agree even though the cumulative
   // process counters doubled.
   clearConjunctCache();
-  resetWildcardState();
   CountResult First = countSolutions(*R.Value, Vars, CO);
   clearConjunctCache();
-  resetWildcardState();
   CountResult Second = countSolutions(*R.Value, Vars, CO);
 
   EXPECT_GT(First.Stats.FeasibilityTests, 0u);
@@ -162,7 +155,6 @@ TEST(QueryApi, StatsFoldIntoEnclosingCollector) {
   QueryContextScope Scope(Ctx);
 
   clearConjunctCache();
-  resetWildcardState();
   CountOptions CO;
   CO.CollectStats = true;
   CountResult CR = countSolutions(*R.Value, Vars, CO);
@@ -194,7 +186,6 @@ TEST(QueryApi, CountBatchIsolatesStatsPerElement) {
   Queries[2] = Queries[0];
 
   clearConjunctCache();
-  resetWildcardState();
   std::vector<CountResult> Results = countBatch(Queries);
   ASSERT_EQ(Results.size(), 3u);
   for (const CountResult &CR : Results)
@@ -202,7 +193,6 @@ TEST(QueryApi, CountBatchIsolatesStatsPerElement) {
 
   // Element-wise answers match solo runs.
   clearConjunctCache();
-  resetWildcardState();
   CountResult Solo = countSolutions(*Big.Value, {"i", "j"}, Queries[0].Opts);
   EXPECT_EQ(Results[0].Value.toString(), Solo.Value.toString());
   EXPECT_EQ(Results[2].Value.toString(), Solo.Value.toString());
@@ -225,7 +215,6 @@ TEST(QueryApi, TraceHandleCapturesTheQuery) {
   CountOptions CO;
   CO.CollectTrace = true;
   clearConjunctCache();
-  resetWildcardState();
   CountResult CR = countSolutions(*R.Value, VarSet{"a"}, CO);
   EXPECT_TRUE(CR.exact());
   ASSERT_TRUE(CR.Trace);

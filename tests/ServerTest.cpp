@@ -17,6 +17,7 @@
 
 #include "omega/Omega.h"
 #include "presburger/Parser.h"
+#include "presburger/VarTable.h"
 #include "server/Protocol.h"
 #include "server/RequestQueue.h"
 #include "server/Server.h"
@@ -342,6 +343,61 @@ TEST(ServerEndToEnd, ConcurrentClientsBitIdentical) {
     T.join();
   EXPECT_EQ(Failures.load(), 0)
       << "some client saw a transport failure or a non-identical answer";
+  S.stop();
+}
+
+// A long-running daemon's symbol table must not grow with the number of
+// queries it has answered: each query mints its wildcards under one pinned
+// scope on its session thread, so names repeat across queries, sessions
+// and threads (DESIGN.md §8, §16).  Two connections each send 150 distinct
+// requests with the cache alternating per request; that first third of
+// the soak warms the table, and two replays — the first with the streams
+// swapped between the two session threads — must intern nothing.
+TEST(ServerEndToEnd, SymbolTableFlatUnderDistinctQuerySoak) {
+  constexpr unsigned Connections = 2, PerConnection = 150;
+  fuzz::Generator Gen(/*Seed=*/29);
+  std::vector<std::vector<CountRequestMsg>> Streams(Connections);
+  for (std::vector<CountRequestMsg> &Stream : Streams)
+    for (unsigned K = 0; K < PerConnection; ++K) {
+      fuzz::FuzzCase FC = Gen.next();
+      CountRequestMsg M;
+      M.Formula = FC.Text;
+      M.Vars = FC.Vars;
+      M.CacheEnabled = K % 2 == 0;
+      Stream.push_back(std::move(M));
+    }
+
+  ServerOptions Opts;
+  Opts.SocketPath = uniqueSocketPath();
+  Server S(Opts);
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+  std::vector<int> Fds;
+  for (unsigned C = 0; C < Connections; ++C) {
+    Fds.push_back(connectTo(Opts.SocketPath));
+    ASSERT_GE(Fds.back(), 0);
+  }
+
+  // Connection C sends stream (C + Shift) % Connections from its own
+  // thread.
+  auto Send = [&](unsigned Shift) {
+    std::vector<std::thread> Threads;
+    for (unsigned C = 0; C < Connections; ++C)
+      Threads.emplace_back([&, C] {
+        for (const CountRequestMsg &M : Streams[(C + Shift) % Connections])
+          EXPECT_TRUE(queryOutcomeIsAnswer(roundTrip(Fds[C], M).Outcome));
+      });
+    for (std::thread &T : Threads)
+      T.join();
+  };
+  Send(0);
+  const uint32_t Warm = varTableSize();
+  Send(1);
+  Send(0);
+  EXPECT_EQ(varTableSize(), Warm)
+      << "the daemon interned new names after warm-up";
+  for (int Fd : Fds)
+    ::close(Fd);
   S.stop();
 }
 

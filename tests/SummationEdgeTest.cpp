@@ -132,13 +132,14 @@ TEST(SummationEdgeTest, AblationsProduceSameValues) {
 }
 
 TEST(SummationEdgeTest, SumOverConjunctDirect) {
-  // The clause-level entry point, with a stride.
+  // A single clause through the formula entry point, with a stride.
   Conjunct C;
   C.add(Constraint::ge(AffineExpr::variable("i") - AffineExpr(1)));
   C.add(Constraint::ge(AffineExpr::variable("n") -
                        AffineExpr::variable("i")));
   C.add(Constraint::stride(BigInt(3), AffineExpr::variable("i")));
-  PiecewiseValue V = sumOverConjunct(C, {"i"}, qvar("i"));
+  PiecewiseValue V =
+      sumPolynomial(Formula::fromConjunct(C), {"i"}, qvar("i")).Value;
   for (int64_t N = 0; N <= 12; ++N) {
     int64_t Expected = 0;
     for (int64_t I = 3; I <= N; I += 3)

@@ -40,13 +40,12 @@ const char *PhaseNames[] = {"simplify",  "toDNF",      "crossConjoin",
                             "projectVars", "splinter", "makeDisjoint",
                             "coalesce",  "summation",  "snfReparam"};
 
-/// Counts AllPhasesFormula once under tracing, from a fully reset state,
+/// Counts AllPhasesFormula once under tracing, from a cold cache,
 /// and returns the collected spans.  The query opts out of the cache so the
 /// set of computed (span-producing) projections cannot depend on what
 /// earlier tests left in it.
 std::shared_ptr<const TraceData> traceOneCount() {
   clearConjunctCache();
-  resetWildcardState();
   ParseResult R = parseFormula(AllPhasesFormula);
   EXPECT_TRUE(R) << R.Error;
   CountOptions Opts;

@@ -251,6 +251,16 @@ abort_free_leg() {
       exit 1
     fi
   done
+  # An --at binding that leaves a symbol of the answer unbound (j here)
+  # has no value to print: a diagnostic and exit 1.
+  code=0
+  "$count" --vars i --at n=9 "1 <= i <= n && 1 <= j <= i" >/dev/null 2>&1 \
+    || code=$?
+  if [ "$code" -ne 1 ]; then
+    echo "abort-free: unbound --at symbol: omegacount exited $code" \
+         "(want 1)" >&2
+    exit 1
+  fi
   # Tiny budget forced to exhaust over the example formulas: degraded
   # answers are still answers, so the exit code must be 0.
   for ex in "$root"/examples/formulas/*.presburger; do

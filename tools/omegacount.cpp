@@ -23,8 +23,9 @@
 // Exit codes derive from the shared QueryOutcome vocabulary
 // (support/Status.h, queryOutcomeExitCode): 0 = answered (exact,
 // unbounded, or certified bounds); 1 = diagnostic (bad flags, malformed
-// input, I/O failure, or budget exhausted with no bounds to give).  Never
-// aborts on any text input.
+// input, an --at that leaves a symbol of the answer unbound, I/O failure,
+// or budget exhausted with no bounds to give).  Never aborts on any text
+// input.
 //
 //===----------------------------------------------------------------------===//
 
@@ -73,6 +74,20 @@ void printBindings(const Assignment &At) {
             [](const auto &L, const auto &R) { return L.first < R.first; });
   for (const auto &[Name, Value] : Rows)
     std::cout << " " << Name << "=" << *Value;
+}
+
+/// Refuses an --at binding that leaves a symbol of \p V unbound: the
+/// answer has no value there.
+void requireBound(const PiecewiseValue &V, const Assignment &At) {
+  if (V.isUnbounded())
+    return;
+  for (const Piece &P : V.pieces()) {
+    VarSet Symbols = P.Guard.freeVars();
+    P.Value.collectVars(Symbols);
+    for (VarId S : Symbols.ids())
+      if (!At.lookup(S))
+        fail("--at leaves symbol " + varName(S) + " unbound");
+  }
 }
 
 Assignment parseBindings(const std::string &S) {
@@ -274,6 +289,8 @@ int runTool(int Argc, char **Argv) {
     std::cout << "lower bound:\n  " << R.Lower << "\n";
     std::cout << "upper bound:\n  " << R.Upper << "\n";
     for (const Assignment &At : Ats) {
+      requireBound(R.Lower, At);
+      requireBound(R.Upper, At);
       std::cout << "at";
       printBindings(At);
       std::cout << ": in [" << R.Lower.evaluate(At).toString() << ", "
@@ -289,6 +306,7 @@ int runTool(int Argc, char **Argv) {
     return Finish();
   PresburgerSet Set(Vars, F);
   for (const Assignment &At : Ats) {
+    requireBound(R.Value, At);
     std::cout << "at";
     printBindings(At);
     std::cout << ": " << R.Value.evaluate(At).toString() << "\n";
