@@ -3,10 +3,10 @@
 // Part of OmegaCount (reproduction of Pugh, PLDI 1994).
 //
 // The allocation-counting harness behind the zero-allocation gates of
-// bench_arith and bench_ir: replaces the global operator new/delete with
-// malloc/free wrappers that tally every allocation made while an
-// AllocWindow is open.  It defines the replaceable allocation functions,
-// so include it from exactly one translation unit per program.  It needs
+// bench_arith and bench_ir: bench/AllocCounter.cpp replaces the global
+// operator new/delete with malloc/free wrappers that tally every
+// allocation made while an AllocWindow is open.  Link that file into the
+// program and include this header wherever a window is opened.  It needs
 // no google-benchmark (whose own allocations would pollute the count);
 // BenchReport.h does.
 //
@@ -17,32 +17,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
-namespace {
-std::atomic<bool> CountAllocs{false};
-std::atomic<uint64_t> AllocCount{0};
-} // namespace
-
-// This *is* the global allocator (the zero-allocation gate counts every
-// heap call through it), so malloc/free here are the implementation, not
-// a leak hazard.  omegatidy: allow(naked-new)
-void *operator new(std::size_t N) {
-  if (CountAllocs.load(std::memory_order_relaxed))
-    AllocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(N ? N : 1)) // omegatidy: allow(naked-new)
-    return P;
-  throw std::bad_alloc();
-}
-void *operator new[](std::size_t N) { return ::operator new(N); }
-// The operator delete overloads forward straight to free.
-void operator delete(void *P) noexcept { std::free(P); } // omegatidy: allow(naked-new)
-void operator delete(void *P, std::size_t) noexcept { std::free(P); } // omegatidy: allow(naked-new)
-void operator delete[](void *P) noexcept { std::free(P); } // omegatidy: allow(naked-new)
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); } // omegatidy: allow(naked-new)
-
-namespace {
+/// Whether global allocations are being tallied, and the running tally.
+extern std::atomic<bool> CountAllocs;
+extern std::atomic<uint64_t> AllocCount;
 
 /// RAII window during which global allocations are tallied.
 struct AllocWindow {
@@ -55,7 +33,5 @@ struct AllocWindow {
     return AllocCount.load() - Before;
   }
 };
-
-} // namespace
 
 #endif // OMEGA_BENCH_ALLOCCOUNTER_H

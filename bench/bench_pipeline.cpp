@@ -166,7 +166,7 @@ int main(int Argc, char **Argv) {
   const size_t Cap = TO.Count.CacheEnabled ? TO.Count.CacheCapacity : 0;
   const EffortBudget &Budget = TO.Count.Budget;
   const bool Arith = TO.Count.CountArithOps;
-  startToolTrace(TO);
+  ToolTrace Trace(TO);
   std::vector<ConfigResult> Results;
   Results.push_back(runConfig("serial-nocache", Scale, Reps, 0,
                               /*Warm=*/false, Budget, Arith));
@@ -241,7 +241,7 @@ int main(int Argc, char **Argv) {
             << "cache x" << SpeedupCache << ", warm x" << SpeedupWarm
             << " (on " << Cores << " hardware core" << (Cores == 1 ? "" : "s")
             << ")\n";
-  if (!finishToolTrace(TO, "bench_pipeline"))
+  if (!Trace.finish("bench_pipeline"))
     return 1;
   if (TO.Stats)
     std::cerr << snapshotPipelineStats().toPretty();

@@ -5,10 +5,9 @@
 // QueryContext installed for the query's duration (support/QueryContext.h)
 // instead of mutating process globals.  Concurrent queries on different
 // threads — omegad sessions, batch hosts — therefore run with independent
-// knobs and independent stats.  The one process-wide piece a query may
-// still claim is the trace session, which is single-occupancy by design:
-// queries with CollectTrace serialize on a mutex, and every other query
-// simply opts out of participating in a foreign session.
+// knobs and independent stats.  A traced query opens a trace session of
+// its own on its thread (support/Trace.h), so concurrent traced queries
+// neither serialize nor see each other's spans.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,69 +16,15 @@
 #include "presburger/Var.h"
 #include "support/BigInt.h"
 #include "support/QueryContext.h"
-#include "support/ThreadAnnotations.h"
+#include "support/Trace.h"
+
+#include <optional>
 
 using namespace omega;
-
-namespace {
-
-/// The lock serializing traced queries (tracing is process-wide and
-/// single-session, DESIGN.md §12).  Function-local so it constructs on
-/// first traced query.
-Mutex &traceSessionMutex() {
-  static Mutex M;
-  return M;
-}
-
-/// RAII around one query's trace session: acquires the session lock and
-/// starts tracing when the query wants a trace, and guarantees the session
-/// is stopped and the lock released on every exit path (including
-/// exceptions out of the backend).
-///
-/// The conditional acquisition is outside what the capability analysis can
-/// model (lock held iff Enabled), so the methods opt out wholesale; the
-/// invariant is local to this 25-line class.
-class ScopedTraceSession {
-public:
-  explicit ScopedTraceSession(bool Enabled)
-      OMEGA_NO_THREAD_SAFETY_ANALYSIS : Enabled(Enabled) {
-    if (!Enabled)
-      return;
-    traceSessionMutex().lock();
-    startTracing();
-  }
-
-  /// Ends the session and returns its data (null when not tracing).
-  std::shared_ptr<const TraceData> finish() {
-    if (!Enabled || Stopped)
-      return nullptr;
-    Stopped = true;
-    return stopTracing();
-  }
-
-  ~ScopedTraceSession() OMEGA_NO_THREAD_SAFETY_ANALYSIS {
-    if (!Enabled)
-      return;
-    if (!Stopped)
-      (void)stopTracing();
-    traceSessionMutex().unlock();
-  }
-
-  ScopedTraceSession(const ScopedTraceSession &) = delete;
-  ScopedTraceSession &operator=(const ScopedTraceSession &) = delete;
-
-private:
-  bool Enabled;
-  bool Stopped = false;
-};
-
-} // namespace
 
 CountResult omega::sumPolynomial(const Formula &F, const VarSet &Vars,
                                  const QuasiPolynomial &X,
                                  const CountOptions &Opts) {
-  const QueryContext *Prev = activeQueryContext();
-
   // The cache storage is shared and grow-only from here: a query may ask
   // for more capacity than the host configured, never less, so one
   // small-cache query cannot evict a server's warm entries.  Opting out of
@@ -93,12 +38,6 @@ CountResult omega::sumPolynomial(const Formula &F, const VarSet &Vars,
 
   QueryContext Ctx;
   Ctx.CacheEnabled = Opts.CacheEnabled;
-  // A traced query participates in its own session; an untraced query
-  // inherits participation (so a tool-level trace keeps seeing nested
-  // queries) and defaults to participating when top-level, which keeps
-  // bare startTracing() callers (tests) recording.
-  Ctx.TraceParticipant =
-      Opts.CollectTrace || (Prev ? Prev->TraceParticipant : true);
   Ctx.Stats = WantStats ? &Block : nullptr;
 
   CountResult Out;
@@ -109,12 +48,18 @@ CountResult omega::sumPolynomial(const Formula &F, const VarSet &Vars,
     // repeat from one query to the next instead of growing the symbol table
     // (DESIGN.md §8).
     PinnedScope Names(PinnedScope::Query);
-    ScopedTraceSession Trace(Opts.CollectTrace);
+    // A traced query records into a session of its own; an untraced one
+    // records into whatever session this thread already has open (a
+    // tool-level --trace), if any.
+    std::optional<TraceSession> Trace;
+    if (Opts.CollectTrace)
+      Trace.emplace();
     // Backend selection and the per-backend algorithms live in
     // counting/Backend.cpp; the default (Pugh) reproduces the pre-PR-7
     // pipeline bit for bit.
     Out = dispatchCount(F, Vars, X, Opts);
-    Out.Trace = Trace.finish();
+    if (Trace)
+      Out.Trace = Trace->data();
   } catch (...) {
     // The scope has unwound, so the fold lands in the enclosing targets —
     // work done before the throw stays visible to aggregate stats.

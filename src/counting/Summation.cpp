@@ -780,7 +780,7 @@ CountResult omega::pughCount(const Formula &F, const VarSet &Vars,
   TraceSpan Span("countBudgeted");
   // Exact attempt under the budget.  On a clean run this is the only pass.
   try {
-    BudgetScope Scope(std::make_shared<BudgetState>(Opts.Budget));
+    BudgetScope Scope(Opts.Budget);
     RunExact();
     return Out;
   } catch (const BudgetExceeded &E) {
@@ -802,7 +802,7 @@ CountResult omega::pughCount(const Formula &F, const VarSet &Vars,
   // strategy over-approximates each clause's sum; overlapping clauses
   // only add, so the concatenated pieces still bound from above.
   try {
-    BudgetScope Scope(std::make_shared<BudgetState>(Relaxed));
+    BudgetScope Scope(Relaxed);
     WildcardScope Pin("degU");
     SimplifyOptions SO;
     SO.Mode = ShadowMode::Real;
@@ -820,7 +820,7 @@ CountResult omega::pughCount(const Formula &F, const VarSet &Vars,
   // the under-approximating LowerBound strategy bounds from below.  An
   // unbounded dark shadow proves the true answer itself is unbounded.
   try {
-    BudgetScope Scope(std::make_shared<BudgetState>(Relaxed));
+    BudgetScope Scope(Relaxed);
     WildcardScope Pin("degL");
     SimplifyOptions SO;
     SO.Mode = ShadowMode::Dark;

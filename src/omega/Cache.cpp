@@ -167,17 +167,8 @@ size_t omega::conjunctCacheCapacity() {
 void omega::clearConjunctCache() {
   feasCache().clear();
   projCache().clear();
-  feasCache().resetStats();
-  projCache().resetStats();
 }
 
-ConjunctCacheStats omega::conjunctCacheStats() {
-  CacheStats F = feasCache().stats();
-  CacheStats P = projCache().stats();
-  ConjunctCacheStats Out;
-  Out.Hits = F.Hits + P.Hits;
-  Out.Misses = F.Misses + P.Misses;
-  Out.Evictions = F.Evictions + P.Evictions;
-  Out.Entries = feasCache().size() + projCache().size();
-  return Out;
+size_t omega::conjunctCacheSize() {
+  return feasCache().size() + projCache().size();
 }

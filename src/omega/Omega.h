@@ -146,14 +146,6 @@ void coalesceClauses(std::vector<Conjunct> &Clauses);
 // share across threads and shadow modes (DESIGN.md §8).
 //===----------------------------------------------------------------------===//
 
-/// Aggregate statistics over the feasibility and projection caches.
-struct ConjunctCacheStats {
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-  uint64_t Evictions = 0;
-  size_t Entries = 0; ///< Current number of cached results.
-};
-
 /// Configures the process-wide cache *storage*: per-cache entry capacity.
 /// 0 disables memoization entirely (every query recomputes); shrinking
 /// evicts LRU entries immediately.  This sizes the shared store that all
@@ -163,12 +155,14 @@ struct ConjunctCacheStats {
 void configureConjunctCache(size_t Capacity);
 size_t conjunctCacheCapacity();
 
-/// Drops all cached results and resets hit/miss/eviction counters.  Callers
-/// comparing runs (determinism tests, benchmarks) should clear between runs
-/// so each run does the same work.
+/// Drops all cached results.  Callers comparing runs (determinism tests,
+/// benchmarks) should clear between runs so each run does the same work.
 void clearConjunctCache();
 
-ConjunctCacheStats conjunctCacheStats();
+/// Current number of cached results over the feasibility and projection
+/// caches.  Hits, misses and evictions are per-query counters
+/// (PipelineCounters, CountResult::Stats).
+size_t conjunctCacheSize();
 
 namespace detail {
 /// Uncached implementations (omega/Project.cpp).  The public feasible() /

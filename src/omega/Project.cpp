@@ -27,7 +27,7 @@ namespace {
 /// after every normalize step, where Fourier pair combination has just
 /// multiplied coefficients.
 void chargeClauseCoefficients(const Conjunct &C) {
-  const std::shared_ptr<BudgetState> &B = activeBudget();
+  const BudgetState *B = activeBudget();
   if (!B || B->Limits.MaxCoefficientBits == 0)
     return;
   unsigned MaxBits = 0;

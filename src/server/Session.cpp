@@ -108,9 +108,7 @@ CountResponseMsg Session::handleCount(const CountRequestMsg &M) {
     // diagnostic, not unbounded bignum work.
     Formula F = Formula::trueFormula();
     {
-      BudgetScope BS(Opts.Budget.unlimited()
-                         ? std::shared_ptr<BudgetState>()
-                         : std::make_shared<BudgetState>(Opts.Budget));
+      BudgetScope BS(Opts.Budget);
       ParseResult P = parseFormula(M.Formula);
       if (!P) {
         Host.Queue.release();
@@ -157,10 +155,8 @@ void Session::run() {
 
 void Session::serve() {
   // Connection-level context: queries on this thread tally into the
-  // server's shared stats block, and none of them may join a trace session
-  // another client (or the host process) has open.
+  // server's shared stats block.
   QueryContext Ctx;
-  Ctx.TraceParticipant = false;
   Ctx.Stats = &Host.Stats;
   QueryContextScope Scope(Ctx);
 

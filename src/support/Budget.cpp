@@ -11,7 +11,7 @@ using namespace omega;
 
 namespace {
 
-thread_local std::shared_ptr<BudgetState> ActiveBudget;
+thread_local const BudgetState *ActiveBudget = nullptr;
 
 uint64_t nowNanos() {
   return static_cast<uint64_t>(
@@ -110,25 +110,25 @@ BudgetState::BudgetState(EffortBudget L)
     : Limits(L),
       DeadlineNanos(L.DeadlineMs ? nowNanos() + L.DeadlineMs * 1000000 : 0) {}
 
-void BudgetState::trip(const std::string &Limit, const std::string &Where) {
+void BudgetState::trip(const std::string &Limit,
+                       const std::string &Where) const {
   pipelineStats().BudgetTrips += 1;
   traceAnnotate("budget_trip", Limit + " at " + Where);
   throw BudgetExceeded(Limit, Where);
 }
 
-BudgetScope::BudgetScope(std::shared_ptr<BudgetState> State)
-    : Prev(std::move(ActiveBudget)) {
-  ActiveBudget = std::move(State);
+BudgetScope::BudgetScope(const EffortBudget &Limits) : Prev(ActiveBudget) {
+  if (!Limits.unlimited())
+    State.emplace(Limits);
+  ActiveBudget = State ? &*State : nullptr;
 }
 
-BudgetScope::~BudgetScope() { ActiveBudget = std::move(Prev); }
+BudgetScope::~BudgetScope() { ActiveBudget = Prev; }
 
-const std::shared_ptr<BudgetState> &omega::activeBudget() {
-  return ActiveBudget;
-}
+const BudgetState *omega::activeBudget() { return ActiveBudget; }
 
 void omega::budgetCheckpoint(const char *Where) {
-  BudgetState *B = ActiveBudget.get();
+  const BudgetState *B = ActiveBudget;
   if (!B)
     return;
   if (B->DeadlineNanos && nowNanos() > B->DeadlineNanos)
@@ -138,7 +138,7 @@ void omega::budgetCheckpoint(const char *Where) {
 void omega::chargeSplinters(uint64_t Count, const char *Where) {
   budgetCheckpoint(Where);
   traceCount(TraceCounter::BudgetCharges);
-  BudgetState *B = ActiveBudget.get();
+  const BudgetState *B = ActiveBudget;
   if (!B)
     return;
   uint64_t Max = B->Limits.MaxSplintersPerElimination;
@@ -149,7 +149,7 @@ void omega::chargeSplinters(uint64_t Count, const char *Where) {
 void omega::chargeClauses(uint64_t Count, const char *Where) {
   budgetCheckpoint(Where);
   traceCount(TraceCounter::BudgetCharges);
-  BudgetState *B = ActiveBudget.get();
+  const BudgetState *B = ActiveBudget;
   if (!B)
     return;
   uint64_t Max = B->Limits.MaxDnfClauses;
@@ -160,7 +160,7 @@ void omega::chargeClauses(uint64_t Count, const char *Where) {
 void omega::chargeDepth(uint64_t Depth, const char *Where) {
   budgetCheckpoint(Where);
   traceCount(TraceCounter::BudgetCharges);
-  BudgetState *B = ActiveBudget.get();
+  const BudgetState *B = ActiveBudget;
   if (!B)
     return;
   uint64_t Max = B->Limits.MaxRecursionDepth;
@@ -171,7 +171,7 @@ void omega::chargeDepth(uint64_t Depth, const char *Where) {
 void omega::chargeCoefficientBits(uint64_t Bits, const char *Where) {
   budgetCheckpoint(Where);
   traceCount(TraceCounter::BudgetCharges);
-  BudgetState *B = ActiveBudget.get();
+  const BudgetState *B = ActiveBudget;
   if (!B)
     return;
   uint64_t Max = B->Limits.MaxCoefficientBits;

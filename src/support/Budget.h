@@ -28,7 +28,7 @@
 #include "support/Status.h"
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -97,25 +97,29 @@ struct BudgetState {
   const uint64_t DeadlineNanos;
 
   /// Records the trip and raises BudgetExceeded.
-  [[noreturn]] void trip(const std::string &Limit, const std::string &Where);
+  [[noreturn]] void trip(const std::string &Limit,
+                         const std::string &Where) const;
 };
 
-/// Installs \p State as this thread's active budget for the scope's
-/// lifetime (restores the previous one on exit).
+/// Installs a fresh BudgetState for \p Limits as this thread's active
+/// budget for the scope's lifetime (restores the previous one on exit).
+/// An unlimited budget installs none, which still masks any outer budget:
+/// inside the scope, nothing trips.
 class BudgetScope {
 public:
-  explicit BudgetScope(std::shared_ptr<BudgetState> State);
+  explicit BudgetScope(const EffortBudget &Limits);
   ~BudgetScope();
 
   BudgetScope(const BudgetScope &) = delete;
   BudgetScope &operator=(const BudgetScope &) = delete;
 
 private:
-  std::shared_ptr<BudgetState> Prev;
+  std::optional<BudgetState> State;
+  const BudgetState *Prev;
 };
 
 /// This thread's active budget, or null when none is installed.
-const std::shared_ptr<BudgetState> &activeBudget();
+const BudgetState *activeBudget();
 
 /// Cheap deadline check; call at pipeline boundaries.  Throws
 /// BudgetExceeded when the deadline has passed.  No-op without an active

@@ -6,7 +6,9 @@
 ///
 /// \file
 /// A mutex-protected, bounded, least-recently-used cache from string keys
-/// to values, with hit/miss/eviction counters.  The omega layer builds its
+/// to values.  insert() reports how many entries it evicted; callers
+/// count hits, misses and evictions in their own per-query counters
+/// (support/Stats.h).  The omega layer builds its
 /// conjunct memoization (feasibility and projection results keyed by
 /// canonical clause form) on top of this; see omega/Omega.h and DESIGN.md
 /// §8 for what is and is not safe to memoize.
@@ -21,7 +23,7 @@
 
 #include "support/ThreadAnnotations.h"
 
-#include <cstdint>
+#include <cstddef>
 #include <list>
 #include <optional>
 #include <string>
@@ -30,15 +32,8 @@
 
 namespace omega {
 
-/// Counter snapshot for one cache.
-struct CacheStats {
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-  uint64_t Evictions = 0;
-};
-
 /// Bounded LRU map<string, Value>.  A capacity of 0 disables the cache:
-/// every lookup misses (uncounted) and inserts are dropped.
+/// every lookup misses and inserts are dropped.
 template <typename Value> class LruCache {
 public:
   explicit LruCache(size_t Capacity) : Cap(Capacity) {}
@@ -50,12 +45,9 @@ public:
     if (Cap == 0)
       return std::nullopt;
     auto It = Map.find(Key);
-    if (It == Map.end()) {
-      ++St.Misses;
+    if (It == Map.end())
       return std::nullopt;
-    }
     Order.splice(Order.begin(), Order, It->second);
-    ++St.Hits;
     return It->second->second;
   }
 
@@ -80,7 +72,6 @@ public:
       Order.pop_back();
       ++Evicted;
     }
-    St.Evictions += Evicted;
     return Evicted;
   }
 
@@ -90,7 +81,6 @@ public:
     while (Map.size() > Cap) {
       Map.erase(Order.back().first);
       Order.pop_back();
-      ++St.Evictions;
     }
   }
 
@@ -104,21 +94,11 @@ public:
     return Map.size();
   }
 
-  /// Drops all entries (counters are kept; see resetStats).
+  /// Drops all entries.
   void clear() {
     MutexLock Lock(M);
     Map.clear();
     Order.clear();
-  }
-
-  CacheStats stats() const {
-    MutexLock Lock(M);
-    return St;
-  }
-
-  void resetStats() {
-    MutexLock Lock(M);
-    St = CacheStats();
   }
 
 private:
@@ -130,7 +110,6 @@ private:
                      typename std::list<std::pair<std::string, Value>>::
                          iterator>
       Map OMEGA_GUARDED_BY(M);
-  CacheStats St OMEGA_GUARDED_BY(M);
 };
 
 } // namespace omega

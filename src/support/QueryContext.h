@@ -9,8 +9,7 @@
 /// retired process-global knobs (cache capacity, arithmetic op counting).
 /// A query installs a QueryContext for its duration via QueryContextScope;
 /// every layer that used to read a process global — the conjunct cache,
-/// the counter accessors, the trace recorder — resolves through the active
-/// context instead.  A query runs entirely on its caller's thread, so
+/// the counter accessors — resolves through the active context instead.  A query runs entirely on its caller's thread, so
 /// concurrent queries on different threads (omegad sessions, countBatch
 /// callers on their own threads) run with independent knobs and
 /// independent stats, sharing only the deliberately process-wide pieces:
@@ -48,11 +47,6 @@ struct QueryContext {
   /// storage itself is process-wide (configureConjunctCache); this gates
   /// only whether the query reads and populates it.
   bool CacheEnabled = true;
-  /// Whether spans opened by this query's threads record into the active
-  /// trace session.  Defaults to true so direct startTracing() users
-  /// (tools, tests) keep recording; servers set false on non-traced
-  /// queries so a concurrently traced query stays uncontaminated.
-  bool TraceParticipant = true;
   /// Per-query counter redirection; null leaves counters flowing to the
   /// enclosing targets (an outer context's block, or the globals).
   QueryStatsBlock *Stats = nullptr;

@@ -1,116 +1,32 @@
 //===- support/Trace.cpp - Hierarchical pipeline tracing -----------------===//
 //
-// Storage layout: each thread owns a ring of completed TraceSpanRecords
-// (single writer, no lock on the push path).  Open spans are a per-thread
-// intrusive stack allocated per span on the heap — tracing-on cost is not
-// gated, only tracing-off cost is.  A global registry (mutex + ring list)
-// exists so start/stop can clear and snapshot every thread's ring; the
-// mutex is taken once per thread lifetime (registration) and once per
-// session boundary, never per span.
+// Storage layout: everything lives in the TraceSession that records it.
+// Open spans are a vector of records used as a stack, completed spans a
+// ring of records; both are written only by the session's own thread, so
+// no path here takes a lock or touches an atomic.
 //
 //===----------------------------------------------------------------------===//
 
 #include "support/Trace.h"
 
-#include "support/QueryContext.h"
-#include "support/ThreadAnnotations.h"
-
 #include <algorithm>
 #include <chrono>
-#include <cstddef>
 #include <cstdio>
 #include <map>
 #include <sstream>
 
 using namespace omega;
 
-std::atomic<bool> omega::trace_detail::Enabled{false};
-
 namespace {
 
-/// Spans kept per thread before the ring wraps (oldest overwritten).
+/// Spans a session keeps before its ring wraps (oldest overwritten).
 constexpr size_t RingCapacity = size_t(1) << 16;
-
-struct ThreadRing {
-  std::vector<TraceSpanRecord> Buf;
-  size_t Head = 0;      ///< Next overwrite position once Buf is full.
-  uint64_t Dropped = 0; ///< Records overwritten this session.
-  uint32_t Tid = 0;     ///< Dense registration index.
-
-  void push(TraceSpanRecord &&R) {
-    if (Buf.size() < RingCapacity) {
-      Buf.push_back(std::move(R));
-      return;
-    }
-    Buf[Head] = std::move(R);
-    Head = (Head + 1) % RingCapacity;
-    ++Dropped;
-  }
-
-  void clear() {
-    Buf.clear();
-    Head = 0;
-    Dropped = 0;
-  }
-};
 
 uint64_t nowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-struct Registry {
-  Mutex M;
-  /// Every thread's completed-span ring.  The rings themselves are
-  /// single-writer thread-local state and deliberately unannotated:
-  /// stopTracing() reads them under the start/stop contract ("no traced
-  /// query in flight"), which the capability model cannot express
-  /// (DESIGN.md §13).  Only the registry vector is guarded.
-  std::vector<std::shared_ptr<ThreadRing>> Rings OMEGA_GUARDED_BY(M);
-  std::atomic<uint64_t> NextId{1};
-  /// Session epoch in steady-clock nanoseconds.  Atomic, not guarded:
-  /// startTracing() writes it while every instrumentation site reads it
-  /// unlocked — a GUARDED_BY here would either race or serialize spans.
-  std::atomic<uint64_t> SessionStartNs{nowNs()};
-};
-
-Registry &registry() {
-  static Registry R;
-  return R;
-}
-
-/// An open span: the record under construction plus the intrusive stack
-/// link.  Rec is the first member so TraceSpan can hold &OS->Rec and the
-/// destructor can cast back (standard layout).
-struct OpenSpan {
-  TraceSpanRecord Rec;
-  OpenSpan *Prev = nullptr;
-};
-static_assert(offsetof(OpenSpan, Rec) == 0,
-              "TraceSpan recovers the OpenSpan from its record address");
-
-struct ThreadState {
-  std::shared_ptr<ThreadRing> Ring;
-  OpenSpan *Open = nullptr; ///< Innermost open span on this thread.
-
-  ThreadRing &ring() {
-    if (!Ring) {
-      Ring = std::make_shared<ThreadRing>();
-      Registry &R = registry();
-      MutexLock Lock(R.M);
-      Ring->Tid = static_cast<uint32_t>(R.Rings.size());
-      R.Rings.push_back(Ring);
-    }
-    return *Ring;
-  }
-};
-
-thread_local ThreadState TLS;
-
-uint64_t sinceSessionStartNs() {
-  return nowNs() - registry().SessionStartNs.load(std::memory_order_relaxed);
 }
 
 const char *counterName(unsigned I) {
@@ -151,26 +67,44 @@ std::string jsonEscape(const std::string &S) {
 
 } // namespace
 
-void omega::startTracing() {
-  Registry &R = registry();
-  MutexLock Lock(R.M);
-  for (const std::shared_ptr<ThreadRing> &Ring : R.Rings)
-    Ring->clear();
-  R.NextId.store(1, std::memory_order_relaxed);
-  R.SessionStartNs.store(nowNs(), std::memory_order_relaxed);
-  trace_detail::Enabled.store(true, std::memory_order_relaxed);
+TraceSpanRecord *TraceSession::innermost() {
+  TraceSession *S = trace_detail::ActiveSession;
+  return S && !S->Open.empty() ? &S->Open.back() : nullptr;
 }
 
-std::shared_ptr<const TraceData> omega::stopTracing() {
-  trace_detail::Enabled.store(false, std::memory_order_relaxed);
-  Registry &R = registry();
-  MutexLock Lock(R.M);
-  auto Data = std::make_shared<TraceData>();
-  for (const std::shared_ptr<ThreadRing> &Ring : R.Rings) {
-    Data->Dropped += Ring->Dropped;
-    for (const TraceSpanRecord &Rec : Ring->Buf)
-      Data->Spans.push_back(Rec);
+TraceSession::TraceSession()
+    : Prev(trace_detail::ActiveSession), EpochNs(nowNs()) {
+  trace_detail::ActiveSession = this;
+}
+
+TraceSession::~TraceSession() { trace_detail::ActiveSession = Prev; }
+
+size_t TraceSession::open(const char *Name) {
+  TraceSpanRecord &R = Open.emplace_back();
+  R.Id = NextId++;
+  R.Parent = Open.size() > 1 ? Open[Open.size() - 2].Id : 0;
+  R.Name = Name;
+  R.StartNs = nowNs() - EpochNs;
+  return Open.size() - 1;
+}
+
+void TraceSession::close() {
+  TraceSpanRecord R = std::move(Open.back());
+  Open.pop_back();
+  R.DurNs = nowNs() - EpochNs - R.StartNs;
+  if (Done.size() < RingCapacity) {
+    Done.push_back(std::move(R));
+    return;
   }
+  Done[Head] = std::move(R);
+  Head = (Head + 1) % RingCapacity;
+  ++Dropped;
+}
+
+std::shared_ptr<const TraceData> TraceSession::data() const {
+  auto Data = std::make_shared<TraceData>();
+  Data->Spans = Done;
+  Data->Dropped = Dropped;
   std::sort(Data->Spans.begin(), Data->Spans.end(),
             [](const TraceSpanRecord &A, const TraceSpanRecord &B) {
               return A.StartNs != B.StartNs ? A.StartNs < B.StartNs
@@ -179,67 +113,29 @@ std::shared_ptr<const TraceData> omega::stopTracing() {
   return Data;
 }
 
-TraceSpan::TraceSpan(const char *Name) : Rec(nullptr) {
-  if (!tracingEnabled())
-    return;
-  // Participation gate: while some query holds the (single, process-wide)
-  // trace session, threads running a *different* query must not record
-  // into it.  This constructor is the one place spans are born, so gating
-  // here covers the whole subsystem; with no span open, traceCount /
-  // traceAnnotate / currentTraceSpan already no-op through TLS.Open.
-  if (const QueryContext *Ctx = activeQueryContext(); Ctx && !Ctx->TraceParticipant)
-    return;
-  // Tracing-on cost is not gated; the open-span stack is intrusive and
-  // per-thread, released in ~TraceSpan.  omegatidy: allow(naked-new)
-  OpenSpan *OS = new OpenSpan;
-  OS->Rec.Id = registry().NextId.fetch_add(1, std::memory_order_relaxed);
-  OS->Rec.Parent = TLS.Open ? TLS.Open->Rec.Id : 0;
-  OS->Rec.Name = Name;
-  OS->Rec.Tid = TLS.ring().Tid;
-  OS->Rec.StartNs = sinceSessionStartNs();
-  OS->Prev = TLS.Open;
-  TLS.Open = OS;
-  Rec = &OS->Rec;
-}
-
-TraceSpan::~TraceSpan() {
-  if (!Rec)
-    return;
-  OpenSpan *OS = reinterpret_cast<OpenSpan *>(Rec);
-  Rec->DurNs = sinceSessionStartNs() - Rec->StartNs;
-  TLS.Open = OS->Prev;
-  TLS.ring().push(std::move(OS->Rec));
-  delete OS;
-}
-
 void TraceSpan::count(TraceCounter C, uint64_t N) {
-  if (Rec)
-    Rec->Counters[static_cast<unsigned>(C)] += N;
+  if (Session)
+    Session->Open[Slot].Counters[static_cast<unsigned>(C)] += N;
 }
 
 void TraceSpan::annotate(const char *Key, std::string Value) {
-  if (Rec)
-    Rec->Annotations.emplace_back(Key, std::move(Value));
+  if (Session)
+    Session->Open[Slot].Annotations.emplace_back(Key, std::move(Value));
 }
 
 void omega::traceCount(TraceCounter C, uint64_t N) {
-  if (!tracingEnabled())
-    return;
-  if (OpenSpan *OS = TLS.Open)
-    OS->Rec.Counters[static_cast<unsigned>(C)] += N;
+  if (TraceSpanRecord *R = TraceSession::innermost())
+    R->Counters[static_cast<unsigned>(C)] += N;
 }
 
 void omega::traceAnnotate(const char *Key, std::string Value) {
-  if (!tracingEnabled())
-    return;
-  if (OpenSpan *OS = TLS.Open)
-    OS->Rec.Annotations.emplace_back(Key, std::move(Value));
+  if (TraceSpanRecord *R = TraceSession::innermost())
+    R->Annotations.emplace_back(Key, std::move(Value));
 }
 
 uint64_t omega::currentTraceSpan() {
-  if (!tracingEnabled())
-    return 0;
-  return TLS.Open ? TLS.Open->Rec.Id : 0;
+  TraceSpanRecord *R = TraceSession::innermost();
+  return R ? R->Id : 0;
 }
 
 const TraceSpanRecord *TraceData::find(uint64_t Id) const {
@@ -262,7 +158,7 @@ std::string TraceData::toChromeJson() const {
     OS << "{\"name\":\"" << jsonEscape(R.Name) << "\",\"cat\":\"omega\","
        << "\"ph\":\"X\",\"ts\":" << static_cast<double>(R.StartNs) / 1e3
        << ",\"dur\":" << static_cast<double>(R.DurNs) / 1e3
-       << ",\"pid\":1,\"tid\":" << R.Tid << ",\"args\":{\"id\":" << R.Id
+       << ",\"pid\":1,\"tid\":0,\"args\":{\"id\":" << R.Id
        << ",\"parent\":" << R.Parent;
     for (unsigned I = 0; I < NumTraceCounters; ++I)
       if (R.Counters[I])

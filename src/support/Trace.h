@@ -12,23 +12,22 @@
 /// cache hits/misses, BigInt spills, budget charges) and optional string
 /// annotations (budget exhaustion, degradation).
 ///
-/// Thread model (DESIGN.md §12): a query runs on its caller's thread, and
-/// the innermost open span is thread-local, so each query's spans form one
-/// tree rooted on that thread.  Completed spans land in lock-free
-/// per-thread ring buffers; exporters snapshot the rings after the query
-/// quiesces.
+/// Thread model (DESIGN.md §12): a TraceSession belongs to the thread that
+/// opens it and records only the spans that thread opens while it is the
+/// innermost session.  Sessions stack: a traced query inside an open
+/// session gets a session of its own, and the outer one resumes when it
+/// ends.  No state is shared between threads, so nothing here locks.
 ///
-/// Cost model: with tracing disabled (the default) every instrumentation
-/// site is one relaxed atomic load and a predictable branch — the ci.sh
-/// trace leg gates this at <= 1% on bench_pipeline.  Tracing is
-/// process-wide and not reentrant: start, run queries, stop, export.
+/// Cost model: with no session open (the default) every instrumentation
+/// site is one thread-local load and a predictable branch — the ci.sh
+/// trace leg gates this at <= 1% on bench_pipeline.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef OMEGA_SUPPORT_TRACE_H
 #define OMEGA_SUPPORT_TRACE_H
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -51,31 +50,32 @@ enum class TraceCounter : unsigned {
 };
 constexpr unsigned NumTraceCounters = 8;
 
+class TraceSession;
+
 namespace trace_detail {
-/// The process-wide enable flag.  Read (relaxed) by every instrumentation
-/// site; everything else about the subsystem is behind this one branch.
-extern std::atomic<bool> Enabled;
+/// The session recording on this thread; null when tracing is off.  Read
+/// by every instrumentation site, so it is constant-initialized and
+/// visible here: the check compiles to a TLS load, not a wrapper call.
+inline thread_local TraceSession *ActiveSession = nullptr;
 } // namespace trace_detail
 
-/// True iff startTracing() is active.  The single cheap check every
-/// tracing site is gated on.
-inline bool tracingEnabled() {
-  return trace_detail::Enabled.load(std::memory_order_relaxed);
-}
+/// True iff a TraceSession is recording on this thread.  The single cheap
+/// check every tracing site is gated on.
+inline bool tracingEnabled() { return trace_detail::ActiveSession != nullptr; }
 
 /// One completed span, as exported.
 struct TraceSpanRecord {
   uint64_t Id = 0;     ///< Unique per trace session, starts at 1.
   uint64_t Parent = 0; ///< Id of the parent span; 0 = root.
   const char *Name = nullptr; ///< Static phase name ("simplify", ...).
-  uint32_t Tid = 0;    ///< Dense thread number (0 = first tracing thread).
-  uint64_t StartNs = 0, DurNs = 0; ///< Relative to startTracing().
+  uint64_t StartNs = 0, DurNs = 0; ///< Relative to the session's start.
   uint64_t Counters[NumTraceCounters] = {};
   /// Rare string notes, e.g. {"budget_trip", "splinters=8 at projection"}.
   std::vector<std::pair<const char *, std::string>> Annotations;
 };
 
-/// Everything one tracing session collected; returned by stopTracing().
+/// Everything one tracing session collected; returned by
+/// TraceSession::data().
 struct TraceData {
   std::vector<TraceSpanRecord> Spans; ///< Sorted by StartNs.
   uint64_t Dropped = 0; ///< Spans lost to ring-buffer overwrite.
@@ -93,26 +93,77 @@ struct TraceData {
   const TraceSpanRecord *find(uint64_t Id) const;
 };
 
-/// Clears all ring buffers and enables span collection.  Not reentrant:
-/// tracing is process-wide, one session at a time.
-void startTracing();
+/// Adds to a counter of the innermost open span of this thread's session
+/// (no-op when tracing is off or no span is open).  This is how leaf
+/// subsystems — the conjunct cache, BigInt spills, budget charges —
+/// attribute events to whichever phase is running without knowing about
+/// it.
+void traceCount(TraceCounter C, uint64_t N = 1);
 
-/// Disables collection and returns the session's spans.  Call only when no
-/// traced query is in flight (the rings are single-writer; exporters do
-/// not synchronize with running spans).
-std::shared_ptr<const TraceData> stopTracing();
+/// Annotates the innermost open span of this thread's session (same
+/// contract as traceCount).  Used for budget exhaustion and degradation
+/// notes.
+void traceAnnotate(const char *Key, std::string Value);
+
+/// Id of the innermost open span of this thread's session (0 when none /
+/// tracing off).
+uint64_t currentTraceSpan();
+
+/// RAII: records the spans this thread opens for the session's lifetime.
+/// Construction installs the session as this thread's recorder, and
+/// destruction restores whichever session (or none) was recording before,
+/// so sessions nest like the stack objects they are.  Spans opened inside
+/// a session must close before it ends (stack objects guarantee this).
+class TraceSession {
+public:
+  TraceSession();
+  ~TraceSession();
+
+  /// The spans completed so far, sorted by start time.  Spans still open
+  /// are not included.
+  std::shared_ptr<const TraceData> data() const;
+
+  TraceSession(const TraceSession &) = delete;
+  TraceSession &operator=(const TraceSession &) = delete;
+
+private:
+  friend class TraceSpan;
+  friend void traceCount(TraceCounter C, uint64_t N);
+  friend void traceAnnotate(const char *Key, std::string Value);
+  friend uint64_t currentTraceSpan();
+
+  size_t open(const char *Name);
+  void close();
+  /// The innermost open span of this thread's session, or null.
+  static TraceSpanRecord *innermost();
+
+  TraceSession *Prev;
+  uint64_t EpochNs;
+  uint64_t NextId = 1;
+  /// Records of the spans open on this thread, innermost last.
+  std::vector<TraceSpanRecord> Open;
+  /// Completed spans: a ring that overwrites oldest-first once full.
+  std::vector<TraceSpanRecord> Done;
+  size_t Head = 0;      ///< Next overwrite position once Done is full.
+  uint64_t Dropped = 0; ///< Records overwritten.
+};
 
 /// RAII span.  Constructing with tracing disabled is the fast path: one
-/// flag load, no id allocation, destructor does nothing.  Spans must be
-/// strictly nested per thread (stack objects guarantee this).  Name must
-/// point to storage that outlives the session (string literals).
+/// thread-local load, no id allocation, destructor does nothing.  Spans
+/// must be strictly nested per thread (stack objects guarantee this).
+/// Name must point to storage that outlives the session (string literals).
 class TraceSpan {
 public:
-  explicit TraceSpan(const char *Name);
-  ~TraceSpan();
+  explicit TraceSpan(const char *Name)
+      : Session(trace_detail::ActiveSession),
+        Slot(Session ? Session->open(Name) : 0) {}
+  ~TraceSpan() {
+    if (Session)
+      Session->close();
+  }
 
   /// True when this span is live (tracing was enabled at construction).
-  bool active() const { return Rec != nullptr; }
+  bool active() const { return Session != nullptr; }
 
   /// Adds to one of this span's counters.  No-op when inactive.
   void count(TraceCounter C, uint64_t N = 1);
@@ -124,22 +175,11 @@ public:
   TraceSpan &operator=(const TraceSpan &) = delete;
 
 private:
-  TraceSpanRecord *Rec; ///< Null when tracing is off; else the open record.
+  /// The session this span records into; null when tracing was off.
+  TraceSession *Session;
+  /// This span's index in Session->Open.
+  size_t Slot;
 };
-
-/// Adds to a counter of the innermost open span on this thread (no-op when
-/// tracing is off or no span is open).  This is how leaf subsystems — the
-/// conjunct cache, BigInt spills, budget charges — attribute events to
-/// whichever phase is running without knowing about it.
-void traceCount(TraceCounter C, uint64_t N = 1);
-
-/// Annotates the innermost open span on this thread (same contract as
-/// traceCount).  Used for budget exhaustion and degradation notes.
-void traceAnnotate(const char *Key, std::string Value);
-
-/// Id of the innermost open span on this thread (0 when none / tracing
-/// off).
-uint64_t currentTraceSpan();
 
 } // namespace omega
 

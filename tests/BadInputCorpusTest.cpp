@@ -43,7 +43,7 @@ std::string diagnoseFile(const std::string &Path) {
     return Err;
   EffortBudget B;
   B.MaxCoefficientBits = 64;
-  BudgetScope Scope(std::make_shared<BudgetState>(B));
+  BudgetScope Scope(B);
   ParseResult R = parseFormula(In.FormulaText);
   if (!R)
     return R.Error;

@@ -5,17 +5,19 @@
 // semantics-preserving rewrites (permutation, scaling, duplication,
 // trivially-true constraints) collide onto one key — and the memoized
 // omega entry points (omega/Cache.cpp): cached and uncached answers agree,
-// and the stats counters/eviction bookkeeping add up.
+// and the per-query hit/miss/eviction counters add up.
 //
 //===----------------------------------------------------------------------===//
 
 #include "omega/Omega.h"
 #include "support/Cache.h"
+#include "support/QueryContext.h"
 
 #include <gtest/gtest.h>
 
 #include <random>
 #include <string>
+#include <utility>
 
 using namespace omega;
 
@@ -27,17 +29,13 @@ AffineExpr var(const std::string &N) { return AffineExpr::variable(N); }
 // LruCache
 //===----------------------------------------------------------------------===//
 
-TEST(LruCache, HitMissAndCounters) {
+TEST(LruCache, HitAndMiss) {
   LruCache<int> C(4);
   EXPECT_FALSE(C.lookup("a").has_value());
   EXPECT_EQ(C.insert("a", 1), 0u);
   auto Hit = C.lookup("a");
   ASSERT_TRUE(Hit.has_value());
   EXPECT_EQ(*Hit, 1);
-  CacheStats S = C.stats();
-  EXPECT_EQ(S.Hits, 1u);
-  EXPECT_EQ(S.Misses, 1u);
-  EXPECT_EQ(S.Evictions, 0u);
   EXPECT_EQ(C.size(), 1u);
 }
 
@@ -51,7 +49,6 @@ TEST(LruCache, EvictsLeastRecentlyUsed) {
   EXPECT_TRUE(C.lookup("a").has_value());
   EXPECT_FALSE(C.lookup("b").has_value()) << "LRU entry should be evicted";
   EXPECT_TRUE(C.lookup("c").has_value());
-  EXPECT_EQ(C.stats().Evictions, 1u);
 }
 
 TEST(LruCache, InsertExistingRefreshesRecency) {
@@ -70,26 +67,22 @@ TEST(LruCache, InsertExistingRefreshesRecency) {
 
 TEST(LruCache, CapacityZeroDisables) {
   LruCache<int> C(0);
-  C.insert("a", 1);
+  EXPECT_EQ(C.insert("a", 1), 0u);
   EXPECT_FALSE(C.lookup("a").has_value());
   EXPECT_EQ(C.size(), 0u);
-  // Disabled lookups are uncounted: a disabled cache reports 0% activity
-  // instead of a misleading 100% miss rate.
-  EXPECT_EQ(C.stats().Misses, 0u);
 }
 
-TEST(LruCache, ShrinkEvictsAndClearKeepsCounters) {
+TEST(LruCache, ShrinkEvictsAndClearEmpties) {
   LruCache<int> C(4);
   for (int I = 0; I < 4; ++I)
     C.insert(std::string(1, char('a' + I)), I);
   C.setCapacity(1);
   EXPECT_EQ(C.size(), 1u);
-  EXPECT_EQ(C.stats().Evictions, 3u);
+  EXPECT_TRUE(C.lookup("d").has_value()) << "shrinking keeps the newest";
+  EXPECT_FALSE(C.lookup("a").has_value());
   C.clear();
   EXPECT_EQ(C.size(), 0u);
-  EXPECT_EQ(C.stats().Evictions, 3u) << "clear() keeps counters";
-  C.resetStats();
-  EXPECT_EQ(C.stats().Evictions, 0u);
+  EXPECT_FALSE(C.lookup("d").has_value());
 }
 
 //===----------------------------------------------------------------------===//
@@ -177,6 +170,18 @@ std::vector<Conjunct> randomConjuncts(unsigned Seed, int Count) {
   return Out;
 }
 
+/// Redirects this thread's pipeline counters into Block for its lifetime,
+/// the way a query does, so a test reads the cache traffic it caused.
+struct CountedScope {
+  QueryStatsBlock Block;
+  QueryContext Ctx{.Stats = &Block};
+  QueryContextScope Scope{Ctx};
+
+  uint64_t hits() const { return Block.Pipeline.CacheHits.load(); }
+  uint64_t misses() const { return Block.Pipeline.CacheMisses.load(); }
+  uint64_t evictions() const { return Block.Pipeline.CacheEvictions.load(); }
+};
+
 /// RAII: restores the default cache capacity and a clean cache.
 struct CacheGuard {
   ~CacheGuard() {
@@ -196,15 +201,15 @@ TEST(ConjunctCache, CachedMatchesUncached) {
 
   configureConjunctCache(size_t(1) << 14);
   clearConjunctCache();
+  CountedScope Counted;
   for (size_t Round = 0; Round < 2; ++Round)
     for (size_t I = 0; I < Pool.size(); ++I)
       EXPECT_EQ(feasible(Pool[I]), Uncached[I])
           << "conjunct " << I << " round " << Round;
 
-  ConjunctCacheStats S = conjunctCacheStats();
-  EXPECT_GT(S.Hits, 0u) << "second round must hit";
-  EXPECT_GT(S.Misses, 0u);
-  EXPECT_GT(S.Entries, 0u);
+  EXPECT_GT(Counted.hits(), 0u) << "second round must hit";
+  EXPECT_GT(Counted.misses(), 0u);
+  EXPECT_GT(conjunctCacheSize(), 0u);
 }
 
 TEST(ConjunctCache, ProjectionCachedMatchesUncached) {
@@ -222,6 +227,7 @@ TEST(ConjunctCache, ProjectionCachedMatchesUncached) {
 
   configureConjunctCache(size_t(1) << 14);
   clearConjunctCache();
+  CountedScope Counted;
   for (size_t Round = 0; Round < 2; ++Round)
     for (size_t I = 0; I < Pool.size(); ++I) {
       std::string S;
@@ -229,7 +235,7 @@ TEST(ConjunctCache, ProjectionCachedMatchesUncached) {
         S += R.toString() + ";";
       EXPECT_EQ(S, Uncached[I]) << "conjunct " << I << " round " << Round;
     }
-  EXPECT_GT(conjunctCacheStats().Hits, 0u);
+  EXPECT_GT(Counted.hits(), 0u);
 }
 
 TEST(ConjunctCache, BoundedSizeEvicts) {
@@ -237,28 +243,33 @@ TEST(ConjunctCache, BoundedSizeEvicts) {
   configureConjunctCache(4);
   clearConjunctCache();
   std::vector<Conjunct> Pool = randomConjuncts(789, 16);
+  CountedScope Counted;
   for (const Conjunct &C : Pool)
     (void)feasible(C);
-  ConjunctCacheStats S = conjunctCacheStats();
   // Two caches (feasibility + projection) of capacity 4; only feasibility
   // was exercised, so at most 4 entries may remain.
-  EXPECT_LE(S.Entries, 4u);
-  EXPECT_GT(S.Evictions, 0u) << "16 distinct keys through capacity 4";
+  EXPECT_LE(conjunctCacheSize(), 4u);
+  EXPECT_GT(Counted.evictions(), 0u) << "16 distinct keys through capacity 4";
 }
 
-TEST(ConjunctCache, ClearResetsEntriesAndStats) {
+TEST(ConjunctCache, ClearResetsEntries) {
   CacheGuard Guard;
   configureConjunctCache(size_t(1) << 14);
   clearConjunctCache();
   std::vector<Conjunct> Pool = randomConjuncts(321, 8);
-  for (const Conjunct &C : Pool)
-    (void)feasible(C);
-  EXPECT_GT(conjunctCacheStats().Entries, 0u);
+  auto RunPool = [&Pool] {
+    CountedScope Counted;
+    for (const Conjunct &C : Pool)
+      (void)feasible(C);
+    return std::make_pair(Counted.hits(), Counted.misses());
+  };
+  auto Cold = RunPool();
+  EXPECT_GT(conjunctCacheSize(), 0u);
+  EXPECT_GT(Cold.second, 0u);
   clearConjunctCache();
-  ConjunctCacheStats S = conjunctCacheStats();
-  EXPECT_EQ(S.Entries, 0u);
-  EXPECT_EQ(S.Hits, 0u);
-  EXPECT_EQ(S.Misses, 0u);
+  EXPECT_EQ(conjunctCacheSize(), 0u);
+  // A cleared cache serves the pool exactly as the empty one did.
+  EXPECT_EQ(RunPool(), Cold);
 }
 
 } // namespace

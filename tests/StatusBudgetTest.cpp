@@ -109,8 +109,7 @@ TEST(BudgetTest, RelaxedScalesOnlySetKnobs) {
 TEST(BudgetTest, ChargeTripsOnlyPastLimit) {
   EffortBudget B;
   B.MaxSplintersPerElimination = 2;
-  auto State = std::make_shared<BudgetState>(B);
-  BudgetScope Scope(State);
+  BudgetScope Scope(B);
   EXPECT_NO_THROW(chargeSplinters(2, "test"));
   try {
     chargeSplinters(3, "test");
@@ -126,6 +125,21 @@ TEST(BudgetTest, ChargeTripsOnlyPastLimit) {
   EXPECT_NO_THROW(chargeSplinters(1, "elsewhere"));
 }
 
+TEST(BudgetTest, UnlimitedScopeMasksOuterBudget) {
+  EffortBudget B;
+  B.MaxSplintersPerElimination = 2;
+  BudgetScope Outer(B);
+  const BudgetState *OuterState = activeBudget();
+  ASSERT_NE(OuterState, nullptr);
+  {
+    BudgetScope Inner(EffortBudget{});
+    EXPECT_EQ(activeBudget(), nullptr) << "an unlimited budget installs none";
+    EXPECT_NO_THROW(chargeSplinters(100, "test"));
+  }
+  EXPECT_EQ(activeBudget(), OuterState);
+  EXPECT_THROW(chargeSplinters(3, "test"), BudgetExceeded);
+}
+
 TEST(BudgetTest, CheckpointIsNoOpWithoutBudget) {
   EXPECT_NO_THROW(budgetCheckpoint("test"));
   EXPECT_NO_THROW(chargeClauses(1u << 20, "test"));
@@ -135,7 +149,7 @@ TEST(BudgetTest, CheckpointIsNoOpWithoutBudget) {
 TEST(BudgetTest, DeadlineTripsAfterExpiry) {
   EffortBudget B;
   B.DeadlineMs = 1;
-  BudgetScope Scope(std::make_shared<BudgetState>(B));
+  BudgetScope Scope(B);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_THROW(budgetCheckpoint("test"), BudgetExceeded);
 }
@@ -245,7 +259,7 @@ TEST(CountUnderBudgetTest, ParseLiteralGuardUnderBudget) {
   // positioned diagnostic instead of a throw.
   EffortBudget B;
   B.MaxCoefficientBits = 64;
-  BudgetScope Scope(std::make_shared<BudgetState>(B));
+  BudgetScope Scope(B);
   ParseResult R = parseFormula(
       "1 <= i <= 340282366920938463463374607431768211456");
   EXPECT_FALSE(R);

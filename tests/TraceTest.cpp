@@ -1,8 +1,9 @@
 //===- tests/TraceTest.cpp - Hierarchical tracing contract ---------------===//
 //
 // The tracing contract (DESIGN.md §12): spans form one tree per query, with
-// every parent link resolvable, and the Chrome exporter must always produce
-// a single JSON value that a strict parser accepts.
+// every parent link resolvable, a session records only its own thread's
+// spans, and the Chrome exporter must always produce a single JSON value
+// that a strict parser accepts.
 //
 // The driver formula conjoins the paper's Figure 1 set (projection with
 // splinters) with a disjunction, so one query exercises all nine traced
@@ -23,6 +24,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace omega;
@@ -256,9 +258,9 @@ TEST(Trace, ChromeJsonRoundTrip) {
 }
 
 TEST(Trace, SummaryListsEveryPhaseEvenWithoutSpans) {
-  startTracing();
+  TraceSession Session;
   { TraceSpan Span("simplify"); } // One span; the other seven have none.
-  std::shared_ptr<const TraceData> Data = stopTracing();
+  std::shared_ptr<const TraceData> Data = Session.data();
   ASSERT_TRUE(Data);
   std::string Summary = Data->toSummary();
   for (const char *Phase : PhaseNames)
@@ -279,6 +281,66 @@ TEST(Trace, CountersAttributedToPhases) {
   }
   EXPECT_GE(Splinters, 1u) << "Figure 1 projection must splinter";
   EXPECT_GT(ProjectedConstraints, 0u);
+}
+
+/// Checks that \p Data is one traced count's own trace: it is non-empty,
+/// every parent link resolves inside it, and no span of \p Foreign (the
+/// span names of a session the query ran beside) leaked in.
+void expectOwnTrace(const TraceData &Data,
+                    const std::vector<std::string> &Foreign) {
+  EXPECT_FALSE(Data.Spans.empty());
+  for (const TraceSpanRecord &S : Data.Spans) {
+    for (const std::string &Name : Foreign)
+      EXPECT_NE(S.Name, Name) << "foreign span leaked into the query trace";
+    if (S.Parent)
+      EXPECT_NE(Data.find(S.Parent), nullptr)
+          << "span " << S.Id << " (" << S.Name << ") has dangling parent";
+  }
+}
+
+std::vector<std::string> spanNames(const TraceData &Data) {
+  std::vector<std::string> Names;
+  for (const TraceSpanRecord &S : Data.Spans)
+    Names.push_back(S.Name);
+  return Names;
+}
+
+TEST(Trace, SessionIgnoresOtherThreadsQueries) {
+  TraceSession Main;
+  std::shared_ptr<const TraceData> Other;
+  {
+    TraceSpan First("mainFirst");
+    std::thread T([&Other] { Other = traceOneCount(); });
+    T.join();
+  }
+  EXPECT_TRUE(tracingEnabled()) << "another thread's query ended our session";
+  { TraceSpan Second("mainSecond"); }
+
+  std::shared_ptr<const TraceData> Data = Main.data();
+  EXPECT_EQ(spanNames(*Data),
+            (std::vector<std::string>{"mainFirst", "mainSecond"}));
+  ASSERT_TRUE(Other);
+  expectOwnTrace(*Other, {"mainFirst", "mainSecond"});
+}
+
+TEST(Trace, QueryInsideOpenSessionGetsItsOwnTrace) {
+  TraceSession Outer;
+  { TraceSpan Before("outerBefore"); }
+  std::shared_ptr<const TraceData> Query;
+  {
+    TraceSpan Around("outerAround");
+    const uint64_t AroundId = currentTraceSpan();
+    Query = traceOneCount();
+    EXPECT_EQ(currentTraceSpan(), AroundId)
+        << "the outer session's open span must be innermost again";
+  }
+  { TraceSpan After("outerAfter"); }
+
+  ASSERT_TRUE(Query);
+  expectOwnTrace(*Query, {"outerBefore", "outerAround", "outerAfter"});
+  std::shared_ptr<const TraceData> Data = Outer.data();
+  EXPECT_EQ(spanNames(*Data), (std::vector<std::string>{
+                                  "outerBefore", "outerAround", "outerAfter"}));
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 #include "omega/Omega.h"
 #include "support/BigInt.h"
 #include "support/QueryContext.h"
+#include "support/Trace.h"
 
 #include <fstream>
 #include <functional>
@@ -163,20 +164,30 @@ private:
   std::optional<QueryContextScope> Scope;
 };
 
-/// Starts the process-wide trace session when --trace/--trace-summary was
-/// given.  Call once, before the traced work.
-inline void startToolTrace(const ToolOptions &Opts) {
-  if (Opts.wantTrace())
-    startTracing();
-}
+/// The tool-level trace: when --trace/--trace-summary was given, a
+/// TraceSession on the main thread for the scope's lifetime, so every
+/// query the tool runs records into it.
+class ToolTrace {
+public:
+  explicit ToolTrace(const ToolOptions &Opts) : Opts(Opts) {
+    if (Opts.wantTrace())
+      Session.emplace();
+  }
 
-/// Ends the trace session and writes the requested exporter outputs.
-/// Returns false (after printing a diagnostic) if the trace file cannot
-/// be written.  Safe to call when tracing was not requested.
-inline bool finishToolTrace(const ToolOptions &Opts, const char *Tool) {
-  if (!Opts.wantTrace())
+  /// Writes the requested exporter outputs of the spans recorded so far.
+  /// Returns false (after printing a diagnostic) if the trace file cannot
+  /// be written.  Does nothing when tracing was not requested.
+  bool finish(const char *Tool) const;
+
+private:
+  const ToolOptions &Opts;
+  std::optional<TraceSession> Session;
+};
+
+inline bool ToolTrace::finish(const char *Tool) const {
+  if (!Session)
     return true;
-  std::shared_ptr<const TraceData> Data = stopTracing();
+  std::shared_ptr<const TraceData> Data = Session->data();
   if (!Opts.TraceFile.empty()) {
     std::ofstream Out(Opts.TraceFile);
     if (!Out) {

@@ -411,8 +411,9 @@ analyze_leg() {
   echo "=== analyze: clean"
 }
 
-# Tier 1: the default configuration every change must keep green.
-run_matrix "$prefix-default"
+# Tier 1: the default configuration every change must keep green.  The
+# gcc build is warning-free, and -Werror keeps it that way.
+run_matrix "$prefix-default" -DCMAKE_CXX_FLAGS=-Werror
 analyze_leg
 
 # Hardened: boundary validation on, AddressSanitizer + UBSan.

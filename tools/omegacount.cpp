@@ -226,20 +226,18 @@ int runTool(int Argc, char **Argv) {
   {
     // Parse under the budget so oversized literals are rejected before any
     // arithmetic touches them (a parse diagnostic, not a throw).
-    BudgetScope Scope(TO.HaveBudget
-                          ? std::make_shared<BudgetState>(Budget)
-                          : std::shared_ptr<BudgetState>());
+    BudgetScope Scope(Budget);
     ParseResult R = parseFormula(FormulaText);
     if (!R)
       fail("parse: " + R.Error);
     F = *R.Value;
   }
-  startToolTrace(TO);
+  ToolTrace Trace(TO);
 
   // Every successful exit path funnels through here so the trace file and
   // stats land no matter which mode ran.
   auto Finish = [&]() -> int {
-    int RC = finishToolTrace(TO, "omegacount") ? 0 : 1;
+    int RC = Trace.finish("omegacount") ? 0 : 1;
     if (TO.Stats)
       std::cerr << snapshotPipelineStats().toPretty();
     return RC;
@@ -250,8 +248,7 @@ int runTool(int Argc, char **Argv) {
   // stops.
   const bool Budgeted = TO.HaveBudget && !Budget.unlimited();
   if (SimplifyOnly || (!TO.HaveBackend && !Budgeted)) {
-    BudgetScope Scope(Budgeted ? std::make_shared<BudgetState>(Budget)
-                               : std::shared_ptr<BudgetState>());
+    BudgetScope Scope(Budget);
     SimplifyOptions SOpts;
     SOpts.Disjoint = true;
     std::vector<Conjunct> D = simplify(F, SOpts);

@@ -211,9 +211,7 @@ void lintFile(const std::string &Path, LintStats &Stats) {
 /// problem report and the sweep continues.
 void lintOne(const std::string &Path, LintStats &Stats) {
   try {
-    BudgetScope Scope(TO.HaveBudget
-                          ? std::make_shared<BudgetState>(TO.Count.Budget)
-                          : std::shared_ptr<BudgetState>());
+    BudgetScope Scope(TO.Count.Budget);
     lintFile(Path, Stats);
   } catch (const std::exception &E) {
     problem(Stats, Path, E.what());
@@ -254,7 +252,7 @@ int runTool(int Argc, char **Argv) {
   // Install the tool-level query environment (cache, stats
   // collection) for the whole sweep.
   ToolQueryScope QueryScope(TO);
-  startToolTrace(TO);
+  ToolTrace Trace(TO);
 
   LintStats Stats;
   for (const std::string &P : Paths) {
@@ -281,7 +279,7 @@ int runTool(int Argc, char **Argv) {
             << " enumeration sample" << (Stats.Samples == 1 ? "" : "s")
             << ", " << Stats.Problems << " problem"
             << (Stats.Problems == 1 ? "" : "s") << "\n";
-  if (!finishToolTrace(TO, "omegalint"))
+  if (!Trace.finish("omegalint"))
     ++Stats.Problems;
   if (TO.Stats)
     std::cerr << snapshotPipelineStats().toPretty();
