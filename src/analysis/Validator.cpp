@@ -135,9 +135,9 @@ void Validator::checkConjunct(const Conjunct &C, const std::string &Loc) {
            Loc);
 
   // Scoping: every mentioned `$`-variable must be declared by this clause
-  // (wildcard names are globally fresh, so a free `$` name means another
-  // clause's existential structure leaked in), and every declaration must
-  // be used.
+  // (a clause's wildcards are its own, so outside a quantifier's body a
+  // free `$` name means another clause's existential structure leaked in),
+  // and every declaration must be used.
   VarSet Mentioned = C.mentionedVars();
   if (!Opts.AllowFreeWildcardNames)
     for (const std::string &V : Mentioned)

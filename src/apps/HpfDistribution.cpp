@@ -8,8 +8,9 @@ Formula omega::ownedBy(const BlockCyclic &Dist, const std::string &TVar,
                        const std::string &PVar) {
   // ∃ l, c: t = l + B*p + B*P*c ∧ 0 <= l < B ∧ 0 <= c ∧ 0 <= p < P
   //         ∧ 0 <= t < Extent.
-  std::string L = "l" + freshWildcard().substr(1);
-  std::string C = "c" + freshWildcard().substr(1);
+  VarSet Used{TVar, PVar};
+  std::string L = freshName("l", Used);
+  std::string C = freshName("c", Used);
   AffineExpr T = AffineExpr::variable(TVar);
   AffineExpr P = AffineExpr::variable(PVar);
   AffineExpr LV = AffineExpr::variable(L);

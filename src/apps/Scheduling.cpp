@@ -60,7 +60,11 @@ std::vector<Chunk> omega::balancedChunks(const LoopNest &Nest,
                                          const BigInt &Lo, const BigInt &Hi,
                                          unsigned NumProcs) {
   check(NumProcs > 0, "need at least one processor");
-  std::string KVar = "chunkK" + freshWildcard().substr(1);
+  // The chunk bound is a free symbol of the prefix sum, so a name neither
+  // the nest nor the work uses.
+  VarSet Taken = Nest.iterationSpace().vars();
+  FlopsPerIter.collectVars(Taken);
+  std::string KVar = freshName("chunkK", Taken);
   PiecewiseValue Prefix = prefixWork(Nest, OuterVar, KVar, FlopsPerIter);
   check(!Prefix.isUnbounded(), "prefix work diverges");
 

@@ -14,10 +14,11 @@ omega::offsetsZeroOneFormula(const std::vector<Offset> &Offsets,
                              const std::vector<std::string> &DeltaVars) {
   check(!Offsets.empty(), "empty offset set");
   size_t Dims = DeltaVars.size();
+  VarSet Used(DeltaVars.begin(), DeltaVars.end());
   VarSet Zs;
   std::vector<AffineExpr> ZVars;
   for (size_t K = 0; K < Offsets.size(); ++K) {
-    std::string Z = "z" + std::to_string(K) + "_" + freshWildcard().substr(1);
+    std::string Z = freshName("z" + std::to_string(K) + "_", Used);
     Zs.insert(Z);
     ZVars.push_back(AffineExpr::variable(Z));
   }

@@ -43,11 +43,6 @@ CountResult omega::sumPolynomial(const Formula &F, const VarSet &Vars,
   CountResult Out;
   try {
     QueryContextScope Scope(Ctx);
-    // Every wildcard the query mints is named "$q<depth>x<n>" from here, so
-    // its names (and so its answer) are a function of the query alone and
-    // repeat from one query to the next instead of growing the symbol table
-    // (DESIGN.md §8).
-    PinnedScope Names(PinnedScope::Query);
     // A traced query records into a session of its own; an untraced one
     // records into whatever session this thread already has open (a
     // tool-level --trace), if any.

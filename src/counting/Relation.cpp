@@ -39,11 +39,12 @@ Relation Relation::inverse() const { return Relation(Outs, Ins, Body); }
 Relation Relation::compose(const Relation &Other) const {
   check(Other.Outs.size() == Ins.size(),
         "composition arity mismatch (Other's outputs feed this's inputs)");
-  // Fresh middle tuple.
+  // Middle tuple: names neither body uses, so renaming captures none.
+  VarSet Used = (Body && Other.Body).vars();
   std::vector<std::string> Mid;
   Mid.reserve(Ins.size());
   for (size_t I = 0; I < Ins.size(); ++I)
-    Mid.push_back("mid" + freshWildcard().substr(1));
+    Mid.push_back(freshName("mid", Used));
   Formula First = Other.renamedBody(Other.Ins, Mid);
   Formula Second = renamedBody(Mid, Outs);
   VarSet MidSet(Mid.begin(), Mid.end());

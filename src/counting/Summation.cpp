@@ -439,6 +439,7 @@ private:
     TraceSpan Span("snfReparam");
     Span.count(TraceCounter::ConstraintsIn, C.constraints().size());
     // Strides touching counted variables become wildcard equalities.
+    uint32_t NextWildcard = C.freshWildcard().index();
     Conjunct WithEqs;
     for (VarId W : C.wildcards().ids())
       WithEqs.addWildcard(W);
@@ -450,7 +451,7 @@ private:
           TouchesVars = true;
       }
       if (K.isStride() && TouchesVars) {
-        VarId W = freshWildcardId();
+        VarId W = wildcardVar(NextWildcard++);
         AffineExpr E = K.expr();
         E.setCoeff(W, -K.modulus());
         WithEqs.add(Constraint::eq(std::move(E)));
@@ -530,10 +531,17 @@ private:
       Den = BigInt::lcm(Den, D);
     }
 
-    // Free components get fresh counted variables.
+    // Free components get fresh counted variables, past every wildcard the
+    // clause or the summand mentions.
+    VarSet InX;
+    X.collectVars(InX);
+    NextWildcard = C.freshWildcard().index();
+    for (VarId V : InX.ids())
+      if (V.isWildcard())
+        NextWildcard = std::max(NextWildcard, V.index() + 1);
     std::vector<VarId> Sigma;
     for (unsigned J = Rank; J < NumCols; ++J)
-      Sigma.push_back(freshWildcardId());
+      Sigma.push_back(wildcardVar(NextWildcard++));
 
     // Each column variable: x_k = Σ_j V[k][j] sigma'_j, expressed as
     // (integer affine over sigma and symbols) / Den.
@@ -787,10 +795,7 @@ CountResult omega::pughCount(const Formula &F, const VarSet &Vars,
     Out.TrippedLimit = E.Limit;
   }
 
-  // Degrade per §4.6: certified bounds from the two shadows.  Both passes
-  // run under a pinned wildcard scope, which makes every minted name a
-  // function of this pass alone — the aborted exact pass cannot leak
-  // counter state into the bounds.
+  // Degrade per §4.6: certified bounds from the two shadows.
   // The relaxed budget keeps even the fallback from running away; shadow
   // modes never splinter, so it rarely trips.
   pipelineStats().DegradedQueries += 1;
@@ -803,7 +808,6 @@ CountResult omega::pughCount(const Formula &F, const VarSet &Vars,
   // only add, so the concatenated pieces still bound from above.
   try {
     BudgetScope Scope(Relaxed);
-    WildcardScope Pin("degU");
     SimplifyOptions SO;
     SO.Mode = ShadowMode::Real;
     std::vector<Conjunct> Clauses = simplify(F, SO);
@@ -821,7 +825,6 @@ CountResult omega::pughCount(const Formula &F, const VarSet &Vars,
   // unbounded dark shadow proves the true answer itself is unbounded.
   try {
     BudgetScope Scope(Relaxed);
-    WildcardScope Pin("degL");
     SimplifyOptions SO;
     SO.Mode = ShadowMode::Dark;
     std::vector<Conjunct> Clauses = simplify(F, SO);

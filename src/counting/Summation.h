@@ -41,9 +41,9 @@ namespace omega {
 /// Under a budget the exact pass runs first; if a limit trips, it retries
 /// with §4.6-style approximations — real shadow / BoundStrategy::UpperBound
 /// for the upper bound, dark shadow / BoundStrategy::LowerBound for the
-/// lower — under a relaxed budget and a pinned wildcard scope, so the
-/// degraded output does not depend on how far the exact pass got (the
-/// wall-clock deadline knob excepted), and returns Bounded (DESIGN.md §9).
+/// lower — under a relaxed budget; the degraded output does not depend on
+/// how far the exact pass got (the wall-clock deadline knob excepted), and
+/// it returns Bounded (DESIGN.md §9).
 /// For summands other than 1 the bounds assume X is non-negative over the
 /// counted region (the paper's setting).
 CountResult pughCount(const Formula &F, const VarSet &Vars,

@@ -3,23 +3,14 @@
 // The public omega::feasible / omega::projectVars wrap the Projector-based
 // implementations (Project.cpp) with a process-wide LRU cache keyed by the
 // clause's canonical form.  Cache misses are computed on the *canonical*
-// clause under a pinned wildcard scope, which makes the stored value a pure
-// function of the key:
+// clause, which makes the stored value a pure function of the key:
+// canonicalConjunct sorts and normalizes constraints, so every clause with
+// the same key presents the Projector with an identical problem, and the
+// wildcards the Projector mints are named from the clause it works on
+// (Conjunct::freshWildcard), not from any thread or query state.
 //
-//   * canonicalConjunct sorts and normalizes constraints, so every clause
-//     with the same key presents the Projector with an identical problem;
-//   * the pinned scope ("k<depth>", presburger/Var.h) means any wildcards
-//     minted during the computation have names that depend only on the
-//     nesting depth of memoized computations on this thread — a nested
-//     miss (e.g. the feasibility probes a Disjoint projection makes) gets
-//     "k<depth+1>" — not on the enclosing query's scope or on which thread
-//     (or in which order) racing misses run.  Returned clauses are
-//     wildcard-free (the Omega.h invariant), so pinned names never escape
-//     into results; they only steer internal elimination order,
-//     identically for every computation of the same key.
-//
-// Together these make it safe for racing threads to populate the same key:
-// whichever insert lands first, the value is the same.  See DESIGN.md §8.
+// So it is safe for racing threads to populate the same key: whichever
+// insert lands first, the value is the same.  See DESIGN.md §8.
 //
 //===----------------------------------------------------------------------===//
 
@@ -91,12 +82,8 @@ bool omega::feasible(const Conjunct &C) {
   // hit the cache costs more than answering it.
   if (C.constraints().empty())
     return true;
-  if (!cacheEnabled()) {
-    // Pinned as on a miss, so the wildcards the test mints repeat from call
-    // to call instead of running on the enclosing query's sequence.
-    PinnedScope Pin(PinnedScope::Memo);
+  if (!cacheEnabled())
     return detail::feasibleImpl(C);
-  }
 
   CanonicalConjunct Canon = canonicalConjunct(C);
   if (Canon.Key == "UNSAT")
@@ -108,11 +95,7 @@ bool omega::feasible(const Conjunct &C) {
   }
   pipelineStats().CacheMisses += 1;
   traceCount(TraceCounter::CacheMisses);
-  bool Result;
-  {
-    PinnedScope Pin(PinnedScope::Memo);
-    Result = detail::feasibleImpl(Canon.C);
-  }
+  bool Result = detail::feasibleImpl(Canon.C);
   pipelineStats().CacheEvictions += feasCache().insert(Canon.Key, Result);
   return Result;
 }
@@ -122,14 +105,13 @@ std::vector<Conjunct> omega::projectVars(const Conjunct &C, const VarSet &Vars,
   pipelineStats().ProjectionCalls += 1;
   TraceSpan Span("projectVars");
   Span.count(TraceCounter::ConstraintsIn, C.constraints().size());
-  // Projection always runs on the canonical clause under a pinned scope —
-  // even with the cache disabled — so its result (including constraint
-  // order within returned clauses) is a function of the clause alone, not
-  // of the cache knob.  feasible() skips the canonicalization on the
-  // uncached path because a bool cannot carry ordering.
+  // Projection always runs on the canonical clause — even with the cache
+  // disabled — so its result (including constraint order within returned
+  // clauses) is a function of the clause alone, not of the cache knob.
+  // feasible() skips the canonicalization on the uncached path because a
+  // bool cannot carry ordering.
   CanonicalConjunct Canon = canonicalConjunct(C);
   if (!cacheEnabled()) {
-    PinnedScope Pin(PinnedScope::Memo);
     std::vector<Conjunct> Result = detail::projectVarsImpl(Canon.C, Vars, Mode);
     Span.count(TraceCounter::ClausesOut, Result.size());
     return Result;
@@ -144,11 +126,8 @@ std::vector<Conjunct> omega::projectVars(const Conjunct &C, const VarSet &Vars,
   }
   pipelineStats().CacheMisses += 1;
   Span.count(TraceCounter::CacheMisses);
-  std::vector<Conjunct> Result;
-  {
-    PinnedScope Pin(PinnedScope::Memo);
-    Result = detail::projectVarsImpl(Canon.C, Vars, Mode);
-  }
+  std::vector<Conjunct> Result =
+      detail::projectVarsImpl(Canon.C, Vars, Mode);
   pipelineStats().CacheEvictions += projCache().insert(Key, Result);
   Span.count(TraceCounter::ClausesOut, Result.size());
   return Result;

@@ -141,8 +141,8 @@ void coalesceClauses(std::vector<Conjunct> &Clauses);
 // feasible() and projectVars() memoize results in a process-wide LRU cache
 // keyed by the clause's canonical form (canonicalConjunct) — plus the
 // target-variable set and shadow mode for projection, since those change
-// the answer.  Cached values are computed from the canonical form under a
-// pinned wildcard scope, so they are pure functions of the key and safe to
+// the answer.  Cached values are computed from the canonical form, whose
+// wildcards are its own, so they are pure functions of the key and safe to
 // share across threads and shadow modes (DESIGN.md §8).
 //===----------------------------------------------------------------------===//
 

@@ -239,7 +239,7 @@ private:
       }
       if (!HasTarget)
         continue;
-      VarId W = freshWildcardId();
+      VarId W = C.freshWildcard();
       AffineExpr E = K.expr();
       E.setCoeff(W, -K.modulus());
       C.constraints()[I] = Constraint::eq(std::move(E));
@@ -476,8 +476,8 @@ std::vector<Conjunct> omega::detail::projectVarsImpl(const Conjunct &C,
     // return clauses a later exact pass would prune.
     ValidatorOptions VO;
     VO.RequireWildcardFree = true;
-    // Outer quantifiers' alpha-renamed variables are still free here; only
-    // the top-level simplify boundary may reject free `$` names.
+    // Enclosing quantifiers' variables (floor `$` auxiliaries) are still
+    // free here; only the top-level simplify boundary rejects free `$` names.
     VO.AllowFreeWildcardNames = true;
     validateOrDie(validateDnf(P.Results, std::move(VO)),
                   "omega::projectVars");

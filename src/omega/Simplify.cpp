@@ -25,11 +25,8 @@
 
 using namespace omega;
 
-namespace {
-
-/// Alpha-renames free occurrences of the keys of \p Map in \p F.
-Formula renameFree(const Formula &F,
-                   const std::map<std::string, std::string> &Map) {
+Formula omega::renameFreeVars(const Formula &F,
+                              const std::map<std::string, std::string> &Map) {
   if (Map.empty())
     return F;
   switch (F.kind()) {
@@ -48,7 +45,7 @@ Formula renameFree(const Formula &F,
     std::vector<Formula> Kids;
     Kids.reserve(F.children().size());
     for (const Formula &C : F.children())
-      Kids.push_back(renameFree(C, Map));
+      Kids.push_back(renameFreeVars(C, Map));
     if (F.kind() == FormulaKind::And)
       return Formula::conj(std::move(Kids));
     if (F.kind() == FormulaKind::Or)
@@ -61,14 +58,16 @@ Formula renameFree(const Formula &F,
     std::map<std::string, std::string> Inner = Map;
     for (const std::string &V : F.quantified())
       Inner.erase(V);
-    Formula Body = renameFree(F.body(), Inner);
+    Formula Body = renameFreeVars(F.body(), Inner);
     if (F.kind() == FormulaKind::Exists)
       return Formula::exists(F.quantified(), std::move(Body));
     return Formula::forall(F.quantified(), std::move(Body));
   }
   }
-  fatalError("renameFree: unknown formula kind");
+  fatalError("renameFreeVars: unknown formula kind");
 }
+
+namespace {
 
 /// Drops clauses that are infeasible; normalizes the rest.  Normalization
 /// here keeps the DNF invariant that every surviving constraint is a
@@ -161,18 +160,11 @@ std::vector<Conjunct> toDNF(const Formula &F, ShadowMode Mode) {
     return negateDNF(toDNF(F.children()[0], ShadowMode::Exact));
   }
   case FormulaKind::Exists: {
-    // Alpha-rename the bound variables to fresh wildcards, then project
-    // them away to restore the wildcard-free invariant.
-    std::map<std::string, std::string> Map;
-    VarSet Fresh;
-    for (const std::string &V : F.quantified()) {
-      std::string W = freshWildcard();
-      Map.emplace(V, W);
-      Fresh.insert(W);
-    }
+    // Project the bound variables out of each clause of the body: they
+    // are free there and nowhere else, and the result is wildcard-free.
     std::vector<Conjunct> Out;
-    for (const Conjunct &C : toDNF(renameFree(F.body(), Map), Mode)) {
-      std::vector<Conjunct> P = projectVars(C, Fresh, Mode);
+    for (const Conjunct &C : toDNF(F.body(), Mode)) {
+      std::vector<Conjunct> P = projectVars(C, F.quantified(), Mode);
       Out.insert(Out.end(), std::make_move_iterator(P.begin()),
                  std::make_move_iterator(P.end()));
     }
@@ -872,7 +864,3 @@ std::vector<Conjunct> omega::makeDisjoint(std::vector<Conjunct> Clauses) {
   return Result;
 }
 
-Formula omega::renameFreeVars(const Formula &F,
-                              const std::map<std::string, std::string> &Map) {
-  return renameFree(F, Map);
-}

@@ -81,10 +81,20 @@ void Conjunct::renameVar(const std::string &From, const std::string &To) {
   renameVar(F, internVar(To));
 }
 
-void Conjunct::refreshWildcards() {
-  const std::vector<VarId> Old = Wildcards.ids();
-  for (VarId W : Old)
-    renameVar(W, freshWildcardId());
+VarId Conjunct::freshWildcard() const {
+  uint32_t Next = 0;
+  auto See = [&Next](VarId V) {
+    if (V.isWildcard())
+      Next = std::max(Next, V.index() + 1);
+  };
+  for (VarId W : Wildcards.ids())
+    See(W);
+  // Id order puts wildcards last, by index: a row's last term is its
+  // highest wildcard, if it has any.
+  for (const Constraint &K : Items)
+    if (!K.expr().terms().empty())
+      See((K.expr().terms().end() - 1)->Var);
+  return wildcardVar(Next);
 }
 
 bool Conjunct::contains(const Assignment &Values) const {
@@ -97,14 +107,23 @@ bool Conjunct::contains(const Assignment &Values) const {
 }
 
 Conjunct Conjunct::merge(const Conjunct &A, const Conjunct &B) {
-  Conjunct RA = A, RB = B;
-  RA.refreshWildcards();
-  RB.refreshWildcards();
-  RA.addAll(RB);
-  return RA;
+  // Declared wildcards move past every index either clause uses, so no ∃
+  // captures the other clause's names: all of B's, and those of A's that B
+  // mentions free.
+  Conjunct Out = A, Moved = B;
+  uint32_t Next =
+      std::max(A.freshWildcard().index(), B.freshWildcard().index());
+  for (VarId W : A.Wildcards.ids())
+    if (!B.isWildcard(W) && B.mentions(W))
+      Out.renameVar(W, wildcardVar(Next++));
+  for (VarId W : B.Wildcards.ids())
+    Moved.renameVar(W, wildcardVar(Next++));
+  Out.addAll(Moved);
+  return Out;
 }
 
 void Conjunct::stridesToWildcards() {
+  uint32_t Next = freshWildcard().index();
   std::vector<Constraint> NewItems;
   NewItems.reserve(Items.size());
   for (Constraint &C : Items) {
@@ -113,7 +132,7 @@ void Conjunct::stridesToWildcards() {
       continue;
     }
     // c | e  ==>  ∃α: e - cα = 0.
-    VarId Alpha = freshWildcardId();
+    VarId Alpha = wildcardVar(Next++);
     AffineExpr E = C.expr();
     E.setCoeff(Alpha, -C.modulus());
     NewItems.push_back(Constraint::eq(std::move(E)));

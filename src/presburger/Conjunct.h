@@ -77,8 +77,9 @@ public:
   void renameVar(VarId From, VarId To);
   void renameVar(const std::string &From, const std::string &To);
 
-  /// Gives every wildcard a globally fresh name (capture-free merging).
-  void refreshWildcards();
+  /// The wildcard one past the highest "$<n>" this clause declares or
+  /// mentions: a name it can bind without capture (DESIGN.md §8).
+  VarId freshWildcard() const;
 
   /// True iff all constraints hold at \p Values.  All free variables must be
   /// bound and the clause must have no wildcards (use
@@ -86,7 +87,8 @@ public:
   /// are checked directly.
   bool contains(const Assignment &Values) const;
 
-  /// Conjunction of two clauses (wildcards are refreshed to avoid capture).
+  /// Conjunction of two clauses; wildcards are renumbered so that neither
+  /// clause's ∃ captures the other's names.
   static Conjunct merge(const Conjunct &A, const Conjunct &B);
 
   /// Converts stride constraints `c | e` into projected format

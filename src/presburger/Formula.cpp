@@ -152,7 +152,10 @@ const Formula &Formula::body() const {
   return Impl->Children[0];
 }
 
-static void collectFreeVars(const Formula &F, VarSet &Bound, VarSet &Out) {
+/// Adds \p F's free variables to \p Out, or with \p WithBound all of its
+/// variables, bound ones included.
+static void collectVars(const Formula &F, bool WithBound, VarSet &Bound,
+                        VarSet &Out) {
   switch (F.kind()) {
   case FormulaKind::True:
   case FormulaKind::False:
@@ -160,8 +163,8 @@ static void collectFreeVars(const Formula &F, VarSet &Bound, VarSet &Out) {
   case FormulaKind::Atom: {
     VarSet Vars;
     F.constraint().collectVars(Vars);
-    for (const std::string &V : Vars)
-      if (!Bound.count(V))
+    for (VarId V : Vars.ids())
+      if (WithBound || !Bound.contains(V))
         Out.insert(V);
     return;
   }
@@ -169,16 +172,19 @@ static void collectFreeVars(const Formula &F, VarSet &Bound, VarSet &Out) {
   case FormulaKind::Or:
   case FormulaKind::Not:
     for (const Formula &C : F.children())
-      collectFreeVars(C, Bound, Out);
+      collectVars(C, WithBound, Bound, Out);
     return;
   case FormulaKind::Exists:
   case FormulaKind::Forall: {
     VarSet Added;
-    for (const std::string &V : F.quantified())
+    for (VarId V : F.quantified().ids()) {
+      if (WithBound)
+        Out.insert(V);
       if (Bound.insert(V).second)
         Added.insert(V);
-    collectFreeVars(F.body(), Bound, Out);
-    for (const std::string &V : Added)
+    }
+    collectVars(F.body(), WithBound, Bound, Out);
+    for (VarId V : Added.ids())
       Bound.erase(V);
     return;
   }
@@ -187,8 +193,24 @@ static void collectFreeVars(const Formula &F, VarSet &Bound, VarSet &Out) {
 
 VarSet Formula::freeVars() const {
   VarSet Bound, Out;
-  collectFreeVars(*this, Bound, Out);
+  collectVars(*this, /*WithBound=*/false, Bound, Out);
   return Out;
+}
+
+VarSet Formula::vars() const {
+  VarSet Bound, Out;
+  collectVars(*this, /*WithBound=*/true, Bound, Out);
+  return Out;
+}
+
+std::string omega::freshName(const std::string &Stem, VarSet &Used) {
+  for (unsigned N = 0;; ++N) {
+    std::string Name = Stem + std::to_string(N);
+    if (!Used.contains(Name)) {
+      Used.insert(Name);
+      return Name;
+    }
+  }
 }
 
 bool Formula::evaluate(const Assignment &Values) const {

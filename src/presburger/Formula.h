@@ -60,6 +60,8 @@ public:
 
   /// Free variables of the formula.
   VarSet freeVars() const;
+  /// Every variable the formula mentions or binds.
+  VarSet vars() const;
 
   /// Evaluates the formula at a full assignment of its free variables.
   /// Quantified variables are decided by the Omega test-independent bounded
@@ -93,6 +95,12 @@ private:
 };
 
 std::ostream &operator<<(std::ostream &OS, const Formula &F);
+
+/// Returns \p Stem followed by the least number that names no member of
+/// \p Used, and adds that name to \p Used.  A binder built over formulas
+/// takes its name from here, with \p Used holding every name they mention
+/// or bind, so it captures nothing.
+std::string freshName(const std::string &Stem, VarSet &Used);
 
 } // namespace omega
 

@@ -6,12 +6,11 @@
 
 using namespace omega;
 
-LoweredExpr omega::lowerFloor(const AffineExpr &E, const BigInt &C) {
+LoweredExpr omega::lowerFloor(const AffineExpr &E, const BigInt &C, VarId A) {
   check(C.isPositive(), "floor divisor must be positive");
   LoweredExpr R;
-  std::string Alpha = freshWildcard();
-  R.Expr = AffineExpr::variable(Alpha);
-  R.Side.addWildcard(Alpha);
+  R.Expr = AffineExpr::variable(A);
+  R.Side.addWildcard(A);
   AffineExpr CA = C * R.Expr;
   // cα <= e <= cα + (c - 1).
   R.Side.add(Constraint::le(CA, E));
@@ -19,12 +18,11 @@ LoweredExpr omega::lowerFloor(const AffineExpr &E, const BigInt &C) {
   return R;
 }
 
-LoweredExpr omega::lowerCeil(const AffineExpr &E, const BigInt &C) {
+LoweredExpr omega::lowerCeil(const AffineExpr &E, const BigInt &C, VarId B) {
   check(C.isPositive(), "ceil divisor must be positive");
   LoweredExpr R;
-  std::string Beta = freshWildcard();
-  R.Expr = AffineExpr::variable(Beta);
-  R.Side.addWildcard(Beta);
+  R.Expr = AffineExpr::variable(B);
+  R.Side.addWildcard(B);
   AffineExpr CB = C * R.Expr;
   // cβ - (c - 1) <= e <= cβ.
   R.Side.add(Constraint::le(CB - AffineExpr(C - BigInt(1)), E));
@@ -32,9 +30,9 @@ LoweredExpr omega::lowerCeil(const AffineExpr &E, const BigInt &C) {
   return R;
 }
 
-LoweredExpr omega::lowerMod(const AffineExpr &E, const BigInt &C) {
+LoweredExpr omega::lowerMod(const AffineExpr &E, const BigInt &C, VarId G) {
   check(C.isPositive(), "mod divisor must be positive");
-  LoweredExpr R = lowerFloor(E, C);
+  LoweredExpr R = lowerFloor(E, C, G);
   // e mod c = e - c * floor(e/c).
   R.Expr = E - C * R.Expr;
   return R;

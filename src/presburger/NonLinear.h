@@ -13,7 +13,8 @@
 ///   e mod c   : ∃γ: cγ <= e <= cγ + (c-1),        term value e - cγ
 ///
 /// Each helper returns the replacement affine expression plus a side
-/// Conjunct carrying the wildcard and its bounding constraints.
+/// Conjunct carrying the wildcard and its bounding constraints.  The caller
+/// names the wildcard (the parser numbers them "$0", "$1", ... per parse).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,14 +32,14 @@ struct LoweredExpr {
   Conjunct Side;
 };
 
-/// Lowers floor(E / C); asserts C >= 1.
-LoweredExpr lowerFloor(const AffineExpr &E, const BigInt &C);
+/// Lowers floor(E / C) with auxiliary \p A; asserts C >= 1.
+LoweredExpr lowerFloor(const AffineExpr &E, const BigInt &C, VarId A);
 
-/// Lowers ceil(E / C); asserts C >= 1.
-LoweredExpr lowerCeil(const AffineExpr &E, const BigInt &C);
+/// Lowers ceil(E / C) with auxiliary \p B; asserts C >= 1.
+LoweredExpr lowerCeil(const AffineExpr &E, const BigInt &C, VarId B);
 
-/// Lowers E mod C (mathematical: result in [0, C)); asserts C >= 1.
-LoweredExpr lowerMod(const AffineExpr &E, const BigInt &C);
+/// Lowers E mod C (mathematical: in [0, C)) with auxiliary \p G; C >= 1.
+LoweredExpr lowerMod(const AffineExpr &E, const BigInt &C, VarId G);
 
 } // namespace omega
 

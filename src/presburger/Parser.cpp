@@ -476,7 +476,7 @@ private:
           fail("modulus must be positive");
           return std::nullopt;
         }
-        LoweredExpr M = lowerMod(L->Expr, *Mod);
+        LoweredExpr M = lowerMod(L->Expr, *Mod, nextWildcard());
         M.Side.addAll(L->Side);
         std::swap(M.Side, L->Side);
         L->Expr = std::move(M.Expr);
@@ -539,8 +539,8 @@ private:
       }
       if (!expect(TokKind::RParen, "')' closing floor/ceil"))
         return std::nullopt;
-      LoweredExpr R =
-          IsFloor ? lowerFloor(E->Expr, Div) : lowerCeil(E->Expr, Div);
+      LoweredExpr R = IsFloor ? lowerFloor(E->Expr, Div, nextWildcard())
+                              : lowerCeil(E->Expr, Div, nextWildcard());
       R.Side.addAll(E->Side);
       return R;
     }
@@ -548,8 +548,12 @@ private:
     return std::nullopt;
   }
 
+  /// The next floor/ceil/mod auxiliary: "$0", "$1", ... (never a user name).
+  VarId nextWildcard() { return wildcardVar(NumWildcards++); }
+
   std::vector<Token> Toks;
   size_t Idx = 0;
+  uint32_t NumWildcards = 0;
   std::string Diag;
   size_t DiagPos = 0;
 };

@@ -12,8 +12,8 @@
 ///   * symbolic constants (remaining free variables; answers are given in
 ///     terms of these),
 ///   * wildcards (existentially quantified clause-local auxiliaries, named
-///     "$<n>" so they can never collide with user variables; the role is
-///     also carried in the id's high bit).
+///     "$<n>" so they can never collide with user variables; the id is
+///     the high role bit plus n, so a wildcard has no table entry).
 ///
 /// VarSet and Assignment are flat id vectors: a VarSet is sorted by *name*
 /// (so iteration order — the observable order everywhere clauses print or
@@ -351,56 +351,11 @@ private:
   std::vector<Entry> Entries; ///< Sorted by id (merge-join order).
 };
 
-/// Returns a fresh wildcard name: "$<prefix>x<n>" from the innermost
-/// WildcardScope on the calling thread, or the process-unique "$<n>"
-/// outside any scope.  Shim over freshWildcardId() (VarTable.h) for
-/// name-level callers.
-std::string freshWildcard();
-
-/// Returns true for names produced by freshWildcard().  Prefer
-/// VarId::isWildcard() — a bit test — when an id is at hand.
+/// Returns true for wildcard names ("$<n>").  Prefer VarId::isWildcard()
+/// — a bit test — when an id is at hand.
 inline bool isWildcardName(const std::string &Name) {
   return !Name.empty() && Name[0] == '$';
 }
-
-/// RAII: routes freshWildcard() on the calling thread into a private
-/// namespace "$<Prefix>x0, $<Prefix>x1, ...".  Scopes nest: the previous
-/// scope is restored on destruction, and its counter resumes where it
-/// stopped.
-class WildcardScope {
-public:
-  explicit WildcardScope(std::string Prefix);
-  ~WildcardScope();
-  WildcardScope(const WildcardScope &) = delete;
-  WildcardScope &operator=(const WildcardScope &) = delete;
-
-private:
-  friend VarId freshWildcardId();
-
-  std::string Prefix;
-  unsigned Counter = 0; ///< Next "$<Prefix>x<n>" suffix.
-  WildcardScope *Prev;  ///< The scope this one shadows, if any.
-};
-
-/// A WildcardScope named by its role and by how many scopes of that role
-/// are open on the calling thread: "q<d>" for a query (sumPolynomial),
-/// "k<d>" for feasible() or projectVars() (omega/Cache.cpp).  It upholds
-/// the naming invariant of DESIGN.md §8: the names a query mints, and so
-/// its answer, depend on the query alone, and they repeat from one query
-/// to the next instead of growing the symbol table.
-class PinnedScope {
-public:
-  enum Role : unsigned { Query, Memo };
-
-  explicit PinnedScope(Role R);
-  ~PinnedScope();
-  PinnedScope(const PinnedScope &) = delete;
-  PinnedScope &operator=(const PinnedScope &) = delete;
-
-private:
-  Role R;
-  WildcardScope Scope;
-};
 
 } // namespace omega
 

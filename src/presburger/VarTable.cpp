@@ -2,11 +2,13 @@
 
 #include "presburger/VarTable.h"
 
-#include "presburger/Var.h"
 #include "support/Error.h"
 #include "support/ThreadAnnotations.h"
 
 #include <atomic>
+#include <charconv>
+#include <memory>
+#include <optional>
 #include <unordered_map>
 
 using namespace omega;
@@ -43,25 +45,47 @@ Table &table() {
   return T;
 }
 
-uint32_t rawFor(uint32_t Idx, std::string_view Name) {
-  bool Wildcard = !Name.empty() && Name[0] == '$';
-  return Idx | (Wildcard ? VarId::WildcardBit : 0);
+/// Printed wildcard names, "$<n>" at slot n of chunk n >> ChunkShift,
+/// formatted a chunk at a time on first read and kept for the process.
+/// Constant-initialized, so chunks no wildcard reaches cost no memory.
+constinit std::atomic<Chunk *> WildcardChunks[MaxChunks] = {};
+
+/// n for a wildcard name "$<n>" (decimal, no leading zero, n below the
+/// invalid id's index); nullopt for every other name.
+std::optional<uint32_t> wildcardIndex(std::string_view Name) {
+  if (Name.size() < 2 || Name[0] != '$' || (Name[1] == '0' && Name.size() > 2))
+    return std::nullopt;
+  uint32_t N = 0;
+  const char *End = Name.data() + Name.size();
+  auto [Stop, Err] = std::from_chars(Name.data() + 1, End, N);
+  if (Err != std::errc() || Stop != End || N >= VarId::WildcardBit - 1)
+    return std::nullopt;
+  return N;
 }
 
-/// Innermost WildcardScope on this thread (see Var.h).
-thread_local WildcardScope *CurScope = nullptr;
-/// Open PinnedScopes on this thread, per role.
-thread_local unsigned PinDepth[2] = {};
-/// Source of "$<n>" for mints outside any scope.
-std::atomic<unsigned> GlobalCounter{0};
-
-std::string pinnedPrefix(PinnedScope::Role R) {
-  return (R == PinnedScope::Query ? "q" : "k") + std::to_string(PinDepth[R]++);
+/// The printed name of wildcard \p N.  Lock-free: a racing first reader's
+/// copy of the chunk loses the exchange and is freed.
+const std::string &wildcardName(uint32_t N) {
+  std::atomic<Chunk *> &Slot = WildcardChunks[N >> ChunkShift];
+  Chunk *C = Slot.load(std::memory_order_acquire);
+  if (!C) {
+    auto Fresh = std::make_unique<Chunk>();
+    const uint32_t Base = N & ~(ChunkSize - 1);
+    for (uint32_t I = 0; I < ChunkSize; ++I)
+      Fresh->Names[I] = "$" + std::to_string(Base + I);
+    if (Slot.compare_exchange_strong(C, Fresh.get(),
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire))
+      C = Fresh.release();
+  }
+  return C->Names[N & (ChunkSize - 1)];
 }
 
 } // namespace
 
 VarId omega::internVar(std::string_view Name) {
+  if (std::optional<uint32_t> N = wildcardIndex(Name))
+    return wildcardVar(*N);
   Table &T = table();
   MutexLock Lock(T.InternMu);
   auto It = T.Index.find(Name);
@@ -77,14 +101,15 @@ VarId omega::internVar(std::string_view Name) {
   }
   std::string &Slot = C->Names[Idx & (ChunkSize - 1)];
   Slot.assign(Name.data(), Name.size());
-  uint32_t Raw = rawFor(Idx, Slot);
-  T.Index.emplace(std::string_view(Slot), Raw);
+  T.Index.emplace(std::string_view(Slot), Idx);
   // Publish: ids handed out below are only dereferenced after this store.
   T.Count.store(Idx + 1, std::memory_order_release);
-  return VarId(Raw);
+  return VarId(Idx);
 }
 
 VarId omega::lookupVar(std::string_view Name) {
+  if (std::optional<uint32_t> N = wildcardIndex(Name))
+    return wildcardVar(*N);
   Table &T = table();
   MutexLock Lock(T.InternMu);
   auto It = T.Index.find(Name);
@@ -93,6 +118,8 @@ VarId omega::lookupVar(std::string_view Name) {
 
 const std::string &omega::varName(VarId Id) {
   check(Id.valid(), "varName of invalid VarId");
+  if (Id.isWildcard())
+    return wildcardName(Id.index());
   Table &T = table();
   uint32_t Idx = Id.index();
   check(Idx < T.Count.load(std::memory_order_acquire),
@@ -107,35 +134,6 @@ int omega::compareVarNames(VarId L, VarId R) {
   return varName(L).compare(varName(R));
 }
 
-VarId omega::freshWildcardId() {
-  if (WildcardScope *S = CurScope) {
-    std::string Name;
-    Name.reserve(S->Prefix.size() + 8);
-    Name += '$';
-    Name += S->Prefix;
-    Name += 'x';
-    Name += std::to_string(S->Counter++);
-    return internVar(Name);
-  }
-  return internVar("$" + std::to_string(GlobalCounter.fetch_add(1)));
-}
-
 uint32_t omega::varTableSize() {
   return table().Count.load(std::memory_order_acquire);
 }
-
-std::string omega::freshWildcard() { return varName(freshWildcardId()); }
-
-WildcardScope::WildcardScope(std::string Prefix)
-    : Prefix(std::move(Prefix)), Prev(CurScope) {
-  CurScope = this;
-}
-
-WildcardScope::~WildcardScope() {
-  check(CurScope == this, "wildcard scopes must nest strictly");
-  CurScope = Prev;
-}
-
-PinnedScope::PinnedScope(Role R) : R(R), Scope(pinnedPrefix(R)) {}
-
-PinnedScope::~PinnedScope() { --PinDepth[R]; }

@@ -6,16 +6,17 @@
 ///
 /// \file
 /// The process-wide variable symbol table (DESIGN.md §16).  Every variable
-/// name is interned exactly once into a `VarId` — a 32-bit handle whose
-/// high bit records the wildcard role, so the hot paths (term merges,
-/// feasibility pre-checks, cache keys) compare and hash machine integers
-/// instead of strings, and `isWildcardName` becomes a bit test.
+/// name maps to exactly one `VarId` — a 32-bit handle whose high bit
+/// records the wildcard role, so the hot paths (term merges, feasibility
+/// pre-checks, cache keys) compare and hash machine integers instead of
+/// strings.  User names are interned; a wildcard "$<n>" has no entry, its
+/// id is the role bit plus n, so minting one is arithmetic.
 ///
 /// Invariant: equal names have equal ids and vice versa, process-wide, for
 /// the lifetime of the process.  The table is append-only; `varName()` is
 /// lock-free (ids are only handed out after their entry is published), and
-/// `internVar()` takes a mutex but only runs at the boundary — the parser,
-/// the string-taking API shims, and wildcard minting.
+/// `internVar()` takes a mutex but only runs at the boundary — the parser
+/// and the string-taking API shims.
 ///
 /// Determinism note: id *numeric order* is interning order, which under
 /// concurrent queries (omegad sessions) depends on thread scheduling, and
@@ -39,9 +40,8 @@ namespace omega {
 /// one lock-free table lookup away.  The default-constructed id is invalid.
 class VarId {
 public:
-  /// Role flag: set for wildcard variables (names minted by freshWildcard,
-  /// all starting with '$').  Carried in the id so role tests never touch
-  /// the name.
+  /// Role flag: set for wildcard variables ("$<n>", with n in the low
+  /// bits).  Carried in the id so role tests never touch the name.
   static constexpr uint32_t WildcardBit = 1u << 31;
   static constexpr uint32_t InvalidRaw = ~0u;
 
@@ -49,7 +49,7 @@ public:
   constexpr explicit VarId(uint32_t Raw) : Raw(Raw) {}
 
   constexpr uint32_t raw() const { return Raw; }
-  /// Index of this id's entry in the symbol table.
+  /// Index of this id's entry in the symbol table, or a wildcard's n.
   constexpr uint32_t index() const { return Raw & ~WildcardBit; }
   constexpr bool isWildcard() const { return (Raw & WildcardBit) != 0; }
   constexpr bool valid() const { return Raw != InvalidRaw; }
@@ -63,12 +63,18 @@ private:
   uint32_t Raw = InvalidRaw;
 };
 
+/// The wildcard "$<N>".  \p N must be below VarId::WildcardBit - 1.
+constexpr VarId wildcardVar(uint32_t N) {
+  return VarId(VarId::WildcardBit | N);
+}
+
 /// Interns \p Name, returning its process-unique id (creating an entry on
-/// first sight).  Thread-safe; takes the intern mutex.
+/// first sight).  Thread-safe; takes the intern mutex unless \p Name is a
+/// wildcard "$<n>", which is wildcardVar(n).
 VarId internVar(std::string_view Name);
 
-/// Returns the id of \p Name if it has ever been interned, otherwise an
-/// invalid id.  Never creates an entry.  Thread-safe.
+/// Returns the id of \p Name if it is a wildcard or has been interned,
+/// otherwise an invalid id.  Never creates an entry.  Thread-safe.
 VarId lookupVar(std::string_view Name);
 
 /// Returns the name of a valid id.  Lock-free and wait-free: entries are
@@ -79,12 +85,7 @@ const std::string &varName(VarId Id);
 /// varName(L).compare(varName(R)) but short-circuits equal ids.
 int compareVarNames(VarId L, VarId R);
 
-/// Mints a fresh wildcard id: "$<n>" process-globally, or the scope-local
-/// "$<prefix>x<n>" while a WildcardScope is active on this thread (see
-/// Var.h).  The name is built and interned exactly once, here.
-VarId freshWildcardId();
-
-/// Number of interned entries (test/introspection hook).
+/// Number of interned user names (test/introspection hook).
 uint32_t varTableSize();
 
 } // namespace omega

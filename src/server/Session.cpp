@@ -63,6 +63,12 @@ CountResponseMsg Session::handleCount(const CountRequestMsg &M) {
     R.ErrorText = "no counted variables given";
     return R;
   }
+  for (const std::string &V : M.Vars)
+    if (isWildcardName(V)) { // It would alias the query's own wildcards.
+      R.Outcome = QueryOutcome::InvalidInput;
+      R.ErrorText = "\"" + V + "\" is a reserved wildcard name";
+      return R;
+    }
   if (M.Backend > static_cast<uint8_t>(BackendKind::Auto)) {
     R.Outcome = QueryOutcome::InvalidInput;
     R.ErrorText = "unknown backend code " + std::to_string(M.Backend);

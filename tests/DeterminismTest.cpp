@@ -3,11 +3,11 @@
 // The determinism contract (DESIGN.md §8): cache state is a performance
 // knob only, and a query's answer is a function of the query alone — the
 // piecewise answer must be *textually* identical with the cache on and
-// off, and no matter what the process counted or which wildcard names it
-// minted before.  This runs a fuzz corpus plus every
+// off, and no matter what the process counted or which names it interned
+// before.  This runs a fuzz corpus plus every
 // examples/formulas/*.presburger file from a cold cache with the cache on
 // and off, comparing the printed results character for character, and
-// then recounts after unrelated wildcard mints and counts.
+// then recounts after unrelated symbols and counts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -103,15 +104,16 @@ TEST(Determinism, ExampleFormulas) {
     expectDeterministic(Q.Label, Q.Text, Q.Vars);
 }
 
-/// The naming invariant (DESIGN.md §8): wildcard names, and with them the
-/// name-based orderings that shape a printed answer, must not depend on
-/// process history.  Each query is counted once, then the process mints
-/// unrelated wildcards and runs unrelated counts, and the recount must
-/// print the same answer.
+/// A clause's wildcards are its own (DESIGN.md §8): the names a query
+/// mints, and with them the name-based orderings that shape a printed
+/// answer, depend on its clauses alone, not on process history.  Each
+/// query is counted once, then the process interns unrelated symbols (which
+/// moves later ids) and runs unrelated counts, and the recount must print
+/// the same answer.
 TEST(Determinism, AnswersIndependentOfWildcardHistory) {
   std::vector<Query> Queries = exampleQueries();
-  // An omegad-open query whose printed answer once moved after seven
-  // unrelated freshWildcard() mints.
+  // An omegad-open query whose printed answer once moved with the history
+  // of wildcard names minted before it.
   Queries.push_back({"strided",
                      "2 <= i <= n + -1 && i <= j <= m + 3 && 3 | i + j + 0",
                      {"i", "j"}});
@@ -120,14 +122,18 @@ TEST(Determinism, AnswersIndependentOfWildcardHistory) {
       {"exists", "exists(k: i = 2*k) && 0 <= i <= n", {"i"}},
       {"union", "(1 <= i <= n && 1 <= j <= 3) || (5 <= j <= i <= m)",
        {"i", "j"}},
+      {"floor", fuzz::nonLinearCase(3).Text, {"i"}},
   };
+  unsigned Round = 0;
   for (bool Cache : {true, false}) {
     std::vector<std::string> Reference;
     for (const Query &Q : Queries)
       Reference.push_back(countToString(Q.Text, Q.Vars, Cache));
-    for (unsigned Mints : {7u, 90u, 900u}) {
-      for (unsigned I = 0; I < Mints; ++I)
-        (void)freshWildcard();
+    for (unsigned Symbols : {7u, 90u, 900u}) {
+      for (unsigned I = 0; I < Symbols; ++I)
+        (void)internVar("history" + std::to_string(Round) + "_" +
+                        std::to_string(I));
+      ++Round;
       for (const Query &U : Unrelated)
         (void)countNow(U.Text, U.Vars, Cache);
       for (size_t I = 0; I < Queries.size(); ++I) {
@@ -135,26 +141,30 @@ TEST(Determinism, AnswersIndependentOfWildcardHistory) {
         clearConjunctCache();
         EXPECT_EQ(countNow(Queries[I].Text, Queries[I].Vars, Cache),
                   Reference[I])
-            << "answer moved after " << Mints
-            << " unrelated wildcard mints (cache " << (Cache ? "on" : "off")
+            << "answer moved after " << Symbols
+            << " unrelated symbols (cache " << (Cache ? "on" : "off")
             << ")";
       }
     }
   }
 }
 
-/// The symbol table is bounded per query shape (DESIGN.md §16): each query
-/// mints its wildcards under one pinned scope, so its names are a function
-/// of the query alone and repeat from query to query.  A stream of
-/// distinct queries therefore grows the table only by the largest number
-/// of names one query mints — far fewer names than queries — and
+/// The symbol table holds user symbols only (DESIGN.md §16): a wildcard's
+/// id is its name, so neither parsing a floor/ceil/mod nor counting
+/// interns anything.  A stream of distinct queries therefore grows the
+/// table by exactly the stream's user symbols it had not seen, and
 /// replaying the stream grows it by nothing.  Alternating the cache covers
 /// both the cached path and the uncached one.
 TEST(Determinism, SymbolTableFlatAcrossDistinctQueries) {
   std::vector<fuzz::FuzzCase> Stream;
   fuzz::Generator Gen(/*Seed=*/23);
-  for (int Q = 0; Q < 1000; ++Q)
-    Stream.push_back(Gen.next());
+  for (unsigned Q = 0; Q < 1000; ++Q)
+    Stream.push_back(Q % 20 == 0 ? fuzz::nonLinearCase(Q / 20) : Gen.next());
+  std::set<std::string> Unseen;
+  for (const fuzz::FuzzCase &FC : Stream)
+    for (const std::string &Name : fuzz::userNames(FC.Text))
+      if (!lookupVar(Name).valid())
+        Unseen.insert(Name);
   auto RunStream = [&] {
     for (size_t Q = 0; Q < Stream.size(); ++Q) {
       SCOPED_TRACE("query " + std::to_string(Q) + ": " + Stream[Q].Text);
@@ -165,8 +175,8 @@ TEST(Determinism, SymbolTableFlatAcrossDistinctQueries) {
   const uint32_t Before = varTableSize();
   RunStream();
   const uint32_t Warm = varTableSize();
-  EXPECT_LT(Warm - Before, Stream.size() / 10)
-      << "the table grew with the number of distinct queries";
+  EXPECT_EQ(Warm - Before, Unseen.size())
+      << "the table grew by more than the stream's user symbols";
   RunStream();
   EXPECT_EQ(varTableSize(), Warm)
       << "the second half of the run interned new names";

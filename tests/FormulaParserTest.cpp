@@ -66,7 +66,7 @@ TEST(FormulaTest, EvaluateQuantifierFree) {
 
 TEST(NonLinearTest, FloorLoweringSemantics) {
   // For e = 7 and c = 3, the unique witness is alpha = 2.
-  LoweredExpr L = lowerFloor(var("n"), BigInt(3));
+  LoweredExpr L = lowerFloor(var("n"), BigInt(3), wildcardVar(0));
   ASSERT_EQ(L.Side.wildcards().size(), 1u);
   std::string Alpha = *L.Side.wildcards().begin();
   for (int64_t N = -10; N <= 10; ++N) {
@@ -87,8 +87,8 @@ TEST(NonLinearTest, FloorLoweringSemantics) {
 }
 
 TEST(NonLinearTest, CeilAndModSemantics) {
-  LoweredExpr Ceil = lowerCeil(var("n"), BigInt(4));
-  LoweredExpr Mod = lowerMod(var("n"), BigInt(4));
+  LoweredExpr Ceil = lowerCeil(var("n"), BigInt(4), wildcardVar(0));
+  LoweredExpr Mod = lowerMod(var("n"), BigInt(4), wildcardVar(1));
   std::string B = *Ceil.Side.wildcards().begin();
   std::string G = *Mod.Side.wildcards().begin();
   for (int64_t N = -9; N <= 9; ++N) {
@@ -115,13 +115,50 @@ TEST(NonLinearTest, CeilAndModSemantics) {
 
 TEST(ConjunctTest, MergeRefreshesWildcards) {
   Conjunct A;
-  std::string W = freshWildcard();
+  VarId W = A.freshWildcard();
   A.addWildcard(W);
-  A.add(Constraint::eq(var("x") - var(W.c_str())));
+  A.add(Constraint::eq(var("x") - AffineExpr::variable(W)));
   Conjunct M = Conjunct::merge(A, A);
   EXPECT_EQ(M.wildcards().size(), 2u);
   EXPECT_EQ(M.constraints().size(), 2u);
-  EXPECT_FALSE(M.isWildcard(W));
+  // Each clause keeps a wildcard of its own: A's stays, B's moves.
+  EXPECT_TRUE(M.isWildcard(W));
+  for (const Constraint &K : M.constraints())
+    EXPECT_EQ(K.expr().terms().size(), 2u);
+  EXPECT_NE(M.constraints()[0], M.constraints()[1]);
+}
+
+TEST(ConjunctTest, MergeIsDeterministic) {
+  Conjunct A, B;
+  VarId W = A.freshWildcard();
+  A.addWildcard(W);
+  A.add(Constraint::eq(var("x") - BigInt(2) * AffineExpr::variable(W)));
+  B.addWildcard(W);
+  B.add(Constraint::eq(var("y") - BigInt(3) * AffineExpr::variable(W)));
+  EXPECT_EQ(Conjunct::merge(A, B).toString(),
+            Conjunct::merge(A, B).toString());
+}
+
+TEST(ConjunctTest, MergeDoesNotCaptureFreeWildcardNames) {
+  // A binds $0; B mentions $0 free (an enclosing quantifier's variable).
+  Conjunct A, B;
+  A.addWildcard(wildcardVar(0));
+  A.add(Constraint::eq(var("x") - BigInt(2) * AffineExpr::variable(
+                                                  wildcardVar(0))));
+  B.add(Constraint::ge(AffineExpr::variable(wildcardVar(0)) - var("x")));
+  Conjunct M = Conjunct::merge(A, B);
+  EXPECT_FALSE(M.isWildcard(wildcardVar(0)));
+  EXPECT_TRUE(M.mentions(wildcardVar(0)));
+  EXPECT_EQ(M.wildcards().size(), 1u);
+}
+
+TEST(ConjunctTest, FreshWildcardIsPastEveryIndexUsed) {
+  Conjunct C;
+  EXPECT_EQ(C.freshWildcard(), wildcardVar(0));
+  C.add(Constraint::ge(var("i") - AffineExpr::variable(wildcardVar(4))));
+  EXPECT_EQ(C.freshWildcard(), wildcardVar(5));
+  C.addWildcard(wildcardVar(11));
+  EXPECT_EQ(C.freshWildcard(), wildcardVar(12));
 }
 
 TEST(ConjunctTest, StridesToWildcards) {

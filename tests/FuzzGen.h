@@ -29,8 +29,10 @@
 #ifndef OMEGA_TESTS_FUZZGEN_H
 #define OMEGA_TESTS_FUZZGEN_H
 
+#include <cctype>
 #include <cstdint>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -160,6 +162,40 @@ private:
     return OS.str();
   }
 };
+
+/// A formula with floor, ceil and mod terms, distinct per \p K: a parse of
+/// it lowers three auxiliaries (presburger/NonLinear.h).
+inline FuzzCase nonLinearCase(unsigned K) {
+  const std::string A = std::to_string(K % 7 + 2);
+  const std::string B = std::to_string(K / 7 + 2);
+  FuzzCase C;
+  C.Text = "1 <= i <= n && floor(i/" + A + ") <= m && ceil(i/" + B +
+           ") <= n && i mod " + B + " = 1";
+  C.Vars = {"i"};
+  C.Symbols = {"n", "m"};
+  return C;
+}
+
+/// The identifiers \p Text spells outside the keywords: the user names a
+/// parse of it interns.
+inline std::set<std::string> userNames(const std::string &Text) {
+  static const std::set<std::string> Keywords = {
+      "exists", "forall", "mod",  "floor", "ceil", "true",
+      "false",  "TRUE",   "FALSE", "and",  "or",   "not"};
+  std::set<std::string> Out;
+  std::string Word;
+  for (char C : Text + " ") {
+    if (std::isalnum(static_cast<unsigned char>(C)) || C == '_') {
+      Word += C;
+      continue;
+    }
+    if (!Word.empty() && !std::isdigit(static_cast<unsigned char>(Word[0])) &&
+        !Keywords.count(Word))
+      Out.insert(Word);
+    Word.clear();
+  }
+  return Out;
+}
 
 } // namespace fuzz
 } // namespace omega

@@ -491,7 +491,7 @@ TEST(MakeDisjointTest, PreservesUnionRandom) {
 TEST(ContainsPointTest, WithWildcards) {
   // x even, expressed with a wildcard equality.
   Conjunct C;
-  std::string W = freshWildcard();
+  VarId W = C.freshWildcard();
   C.addWildcard(W);
   AffineExpr E = var("x") - BigInt(2) * AffineExpr::variable(W);
   C.add(Constraint::eq(std::move(E)));

@@ -125,6 +125,27 @@ TEST(RelationTest, ComposeLexicographicSteps) {
   EXPECT_TRUE(isSatisfiable(R3.body() && parseFormulaOrDie("n = 4")));
 }
 
+TEST(RelationTest, ComposeIsDeterministic) {
+  // The middle tuple is named from the relations alone, so composing twice
+  // prints the same relation.
+  Relation R = shift(1);
+  EXPECT_EQ(R.compose(R).toString(), R.compose(R).toString());
+}
+
+TEST(RelationTest, ComposeCapturesNothingEitherWay) {
+  // Three steps of x -> x + 1 within 1..n: n - 2 pairs, however the
+  // compositions nest.  An inner composition's bound middle tuple must not
+  // capture the outer one's, on either side of compose.
+  Relation R = shift(1);
+  PiecewiseValue Right = R.compose(R.compose(R)).countPairs();
+  PiecewiseValue Left = R.compose(R).compose(R).countPairs();
+  for (int64_t N = 0; N <= 8; ++N) {
+    Rational Want = rat(std::max<int64_t>(0, N - 2));
+    EXPECT_EQ(Right.evaluate({{"n", BigInt(N)}}), Want) << N;
+    EXPECT_EQ(Left.evaluate({{"n", BigInt(N)}}), Want) << N;
+  }
+}
+
 TEST(RelationTest, ToString) {
   Relation R = shift(1);
   std::string S = R.toString();

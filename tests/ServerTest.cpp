@@ -29,6 +29,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <set>
 #include <string>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -347,19 +348,26 @@ TEST(ServerEndToEnd, ConcurrentClientsBitIdentical) {
 }
 
 // A long-running daemon's symbol table must not grow with the number of
-// queries it has answered: each query mints its wildcards under one pinned
-// scope on its session thread, so names repeat across queries, sessions
-// and threads (DESIGN.md §8, §16).  Two connections each send 150 distinct
-// requests with the cache alternating per request; that first third of
-// the soak warms the table, and two replays — the first with the streams
-// swapped between the two session threads — must intern nothing.
+// queries it has answered: the table holds user symbols only, and a
+// wildcard's id is its name, so neither parsing a request's floor/ceil/mod
+// nor counting it interns anything (DESIGN.md §8, §16).  Two connections
+// each send 150 distinct requests with the cache alternating per request;
+// that first third of the soak grows the table by exactly the requests'
+// new user symbols, and two replays — the first with the streams swapped
+// between the two session threads — must intern nothing.
 TEST(ServerEndToEnd, SymbolTableFlatUnderDistinctQuerySoak) {
   constexpr unsigned Connections = 2, PerConnection = 150;
   fuzz::Generator Gen(/*Seed=*/29);
   std::vector<std::vector<CountRequestMsg>> Streams(Connections);
+  std::set<std::string> Unseen;
+  unsigned NonLinear = 0;
   for (std::vector<CountRequestMsg> &Stream : Streams)
     for (unsigned K = 0; K < PerConnection; ++K) {
-      fuzz::FuzzCase FC = Gen.next();
+      fuzz::FuzzCase FC =
+          K % 10 == 0 ? fuzz::nonLinearCase(NonLinear++) : Gen.next();
+      for (const std::string &Name : fuzz::userNames(FC.Text))
+        if (!lookupVar(Name).valid())
+          Unseen.insert(Name);
       CountRequestMsg M;
       M.Formula = FC.Text;
       M.Vars = FC.Vars;
@@ -390,8 +398,11 @@ TEST(ServerEndToEnd, SymbolTableFlatUnderDistinctQuerySoak) {
     for (std::thread &T : Threads)
       T.join();
   };
+  const uint32_t Before = varTableSize();
   Send(0);
   const uint32_t Warm = varTableSize();
+  EXPECT_EQ(Warm - Before, Unseen.size())
+      << "the daemon interned more than the requests' user symbols";
   Send(1);
   Send(0);
   EXPECT_EQ(varTableSize(), Warm)
@@ -559,6 +570,33 @@ TEST(ServerEndToEnd, InputErrorsAreTypedResponses) {
   // After all those diagnostics the connection still answers correctly.
   M.Backend = 0;
   CountResponseMsg R = roundTrip(Fd, M);
+  EXPECT_EQ(R.Outcome, QueryOutcome::Exact);
+  EXPECT_EQ(R.Value, "(5)");
+  ::close(Fd);
+  S.stop();
+}
+
+// "$<n>" is a wildcard's own name, so a counted variable spelled that way
+// would alias the query's wildcards: the daemon refuses it with a typed
+// error instead of answering.
+TEST(ServerEndToEnd, WildcardNamedVariableRefused) {
+  ServerOptions Opts;
+  Opts.SocketPath = uniqueSocketPath();
+  Server S(Opts);
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+  int Fd = connectTo(Opts.SocketPath);
+  ASSERT_GE(Fd, 0);
+
+  CountRequestMsg M;
+  M.Formula = "1 <= i <= 5 && j = floor(i/2)";
+  M.Vars = {"i", "$0"};
+  CountResponseMsg R = roundTrip(Fd, M);
+  EXPECT_EQ(R.Outcome, QueryOutcome::InvalidInput);
+  EXPECT_NE(R.ErrorText.find("$0"), std::string::npos) << R.ErrorText;
+
+  M.Vars = {"i", "j"};
+  R = roundTrip(Fd, M);
   EXPECT_EQ(R.Outcome, QueryOutcome::Exact);
   EXPECT_EQ(R.Value, "(5)");
   ::close(Fd);

@@ -280,12 +280,20 @@ TEST(TermStorageTest, WildcardRoleBits) {
   EXPECT_EQ(omega::lookupVar("storage_test_named"), Named);
   EXPECT_EQ(omega::internVar("storage_test_named"), Named);
 
-  VarId Wild = omega::freshWildcardId();
+  // A wildcard's id is its name: "$<n>" is the role bit plus n, and it
+  // round-trips through lookup without a table entry.
+  const uint32_t Size = omega::varTableSize();
+  VarId Wild = omega::wildcardVar(9);
   EXPECT_TRUE(Wild.isWildcard());
-  // The role bit is a flag, not part of the table index: stripping it
-  // yields a valid slot whose stored name round-trips through lookup.
-  EXPECT_EQ(omega::lookupVar(omega::varName(Wild)), Wild);
+  EXPECT_EQ(omega::varName(Wild), "$9");
+  EXPECT_EQ(omega::lookupVar("$9"), Wild);
+  EXPECT_EQ(omega::internVar("$9"), Wild);
+  EXPECT_EQ(omega::varTableSize(), Size);
   EXPECT_NE(Wild, Named);
+  // Only the canonical spelling is a wildcard: "$09" is not "$9", and an
+  // index past the id space is no wildcard at all.
+  EXPECT_FALSE(omega::lookupVar("$09").valid());
+  EXPECT_FALSE(omega::lookupVar("$99999999999").valid());
 
   // Wildcards participate in expressions like any other variable, and
   // observable orderings go through names, not raw ids.
@@ -294,7 +302,7 @@ TEST(TermStorageTest, WildcardRoleBits) {
   EXPECT_EQ(E.coeff(Wild).toString(), "3");
   EXPECT_EQ(E.toString(), "3*" + omega::varName(Wild));
 
-  VarId Wild2 = omega::freshWildcardId();
+  VarId Wild2 = omega::wildcardVar(10);
   EXPECT_TRUE(Wild2.isWildcard());
   EXPECT_NE(Wild2, Wild);
   int BySlot = omega::compareVarNames(Wild, Wild2);

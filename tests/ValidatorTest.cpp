@@ -68,6 +68,7 @@ int errorCount(const std::vector<Diagnostic> &Diags) {
 }
 
 AffineExpr var(const std::string &N) { return AffineExpr::variable(N); }
+AffineExpr wild(uint32_t N) { return AffineExpr::variable(wildcardVar(N)); }
 
 //===----------------------------------------------------------------------===//
 // Affine / Constraint rules
@@ -133,7 +134,7 @@ TEST(Validator, NormalizedRulesAreOptIn) {
 
 TEST(Validator, WildcardUndeclared) {
   Conjunct C;
-  C.add(Constraint::ge(var("$999") - 1)); // Mentioned, never declared.
+  C.add(Constraint::ge(wild(999) - 1)); // Mentioned, never declared.
   Validator V;
   V.checkConjunct(C, "t");
   EXPECT_TRUE(hasRule(V.diagnostics(), "wildcard-undeclared"));
@@ -141,10 +142,11 @@ TEST(Validator, WildcardUndeclared) {
 }
 
 TEST(Validator, PendingWildcardNamesAllowedMidPipeline) {
-  // toDNF alpha-renames outer quantifier variables to `$` names that stay
-  // free until the outer projection; AllowFreeWildcardNames models that.
+  // A floor/ceil/mod's `$` auxiliary stays free in the clauses of its
+  // quantifier's body until that quantifier's projection;
+  // AllowFreeWildcardNames models that.
   Conjunct C;
-  C.add(Constraint::ge(var("$999") - 1));
+  C.add(Constraint::ge(wild(999) - 1));
   ValidatorOptions O;
   O.AllowFreeWildcardNames = true;
   Validator V(O);
@@ -154,7 +156,7 @@ TEST(Validator, PendingWildcardNamesAllowedMidPipeline) {
 
 TEST(Validator, WildcardUnusedIsWarning) {
   Conjunct C;
-  C.addWildcard("$7");
+  C.addWildcard(wildcardVar(7));
   C.add(Constraint::ge(var("i")));
   Validator V;
   V.checkConjunct(C, "t");
@@ -164,8 +166,8 @@ TEST(Validator, WildcardUnusedIsWarning) {
 
 TEST(Validator, WildcardForbidden) {
   Conjunct C;
-  C.addWildcard("$7");
-  C.add(Constraint::eq(var("i") - var("$7") * BigInt(2)));
+  C.addWildcard(wildcardVar(7));
+  C.add(Constraint::eq(var("i") - wild(7) * BigInt(2)));
   Validator V(wildcardFreeOpts());
   V.checkConjunct(C, "t");
   EXPECT_TRUE(hasRule(V.diagnostics(), "wildcard-forbidden"));
@@ -261,8 +263,8 @@ TEST(Validator, PiecewiseFromCountIsClean) {
 
 TEST(Validator, GuardWildcardDetected) {
   Conjunct Guard;
-  Guard.addWildcard("$3");
-  Guard.add(Constraint::eq(var("n") - var("$3") * BigInt(2)));
+  Guard.addWildcard(wildcardVar(3));
+  Guard.add(Constraint::eq(var("n") - wild(3) * BigInt(2)));
   PiecewiseValue V;
   V.add({Guard, QuasiPolynomial(1)});
   EXPECT_TRUE(hasRule(validatePiecewise(V), "guard-wildcard"));

@@ -83,6 +83,13 @@ inline bool readFormulaFile(const std::string &Path, FormulaFile &Out,
               ": empty \"vars:\" directive";
         return false;
       }
+      for (const std::string &V : Out.Vars)
+        if (V[0] == '$') {
+          // "$<n>" names a clause's own wildcard, never a user variable.
+          Err = "line " + std::to_string(LineNo) + ": \"" + V +
+                "\" is a reserved wildcard name";
+          return false;
+        }
       continue;
     }
     if (T.rfind("box:", 0) == 0) {

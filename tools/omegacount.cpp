@@ -218,6 +218,9 @@ int runTool(int Argc, char **Argv) {
   }
   if (FormulaText.empty())
     fail("no formula given (try --help)");
+  for (const std::string &V : Vars)
+    if (isWildcardName(V))
+      fail("\"" + V + "\" is a reserved wildcard name");
   // Install the tool-level query environment (cache, stats
   // collection) for the rest of the run; queries nest beneath it.
   ToolQueryScope QueryScope(TO);
