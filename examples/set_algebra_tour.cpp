@@ -35,6 +35,11 @@ int main() {
             << OnlyEven.count().evaluateInt(At) << "\n";
   if (auto P = Both.sample(At))
     std::cout << "  a common member: x = " << P->at("x") << "\n";
+  // Tuples align by position, not by name: Steps' first label is y.
+  PresburgerSet Below({"x", "y"}, parseFormulaOrDie("0 <= x < y <= n"));
+  PresburgerSet Steps({"y", "x"}, parseFormulaOrDie("x = y + 1"));
+  std::cout << "  |{[x,y] : x < y} ∩ {[y,x] : x = y + 1}| = "
+            << Below.intersect(Steps).count() << "\n";
 
   // --- Relations ----------------------------------------------------------
   // The "next multiple of 3" relation restricted to [0, n].

@@ -11,30 +11,29 @@
 /// paper's counting machinery, relations answer quantitative questions:
 /// how many targets per source (fan-out), how many pairs in total.
 ///
-/// Operations keep value semantics; variables are renamed internally so
-/// distinct relations never capture each other's names.
+/// As in the Omega library, a relation is a set of tuples with an input
+/// arity: a PresburgerSet over [i1..in, o1..om].  The set aligns operands
+/// by renaming only onto fresh names, so no operation captures a name.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef OMEGA_COUNTING_RELATION_H
 #define OMEGA_COUNTING_RELATION_H
 
-#include "omega/Omega.h"
-#include "omega/Omega.h"
+#include "counting/Set.h"
 
 namespace omega {
 
 /// A finite-arity integer relation with named input and output tuples.
-class Relation {
+class Relation : public PresburgerSet {
 public:
   /// Builds { [Ins] -> [Outs] : Body }.  Free variables of Body outside
   /// the tuples are symbolic constants.
   Relation(std::vector<std::string> Ins, std::vector<std::string> Outs,
            Formula Body);
 
-  const std::vector<std::string> &inputs() const { return Ins; }
-  const std::vector<std::string> &outputs() const { return Outs; }
-  const Formula &body() const { return Body; }
+  std::vector<std::string> inputs() const;
+  std::vector<std::string> outputs() const;
 
   /// { [o] -> [i] : R(i, o) }.
   Relation inverse() const;
@@ -43,30 +42,24 @@ public:
   /// { x -> z : ∃y. Other(x, y) ∧ this(y, z) }.  Arities must match.
   Relation compose(const Relation &Other) const;
 
-  /// Pointwise union/intersection/difference; tuples must have the same
-  /// arities (the result uses this relation's variable names).
+  /// Pointwise union/intersection/difference and inclusion, as on sets;
+  /// the input and output arities must match.
   Relation unionWith(const Relation &Other) const;
   Relation intersect(const Relation &Other) const;
   Relation subtract(const Relation &Other) const;
+  bool isSubsetOf(const Relation &Other) const;
 
   /// { x : ∃z. R(x, z) } as a formula over the input names.
   Formula domain() const;
   /// { z : ∃x. R(x, z) } as a formula over the output names.
   Formula range() const;
 
-  /// True iff no (x, z) pair satisfies the relation (for any symbol
-  /// values).
-  bool isEmpty() const;
-
-  /// True iff every pair of this relation belongs to \p Other.
-  bool isSubsetOf(const Relation &Other) const;
-
   /// (Σ outs : R(ins, outs) : 1) — the fan-out of each input tuple,
   /// symbolic in the input names and the symbolic constants.
   PiecewiseValue countOutputsPerInput() const;
 
   /// (Σ ins, outs : R : 1) — total number of related pairs.
-  PiecewiseValue countPairs() const;
+  PiecewiseValue countPairs() const { return count(); }
 
   /// Image of a set: { z : ∃x. Set(x) ∧ R(x, z) }; \p Set ranges over the
   /// input names.
@@ -75,13 +68,12 @@ public:
   std::string toString() const;
 
 private:
-  /// Body with inputs/outputs renamed to the given fresh names.
-  Formula renamedBody(const std::vector<std::string> &NewIns,
-                      const std::vector<std::string> &NewOuts) const;
+  Relation(PresburgerSet Pairs, size_t Arity);
 
-  std::vector<std::string> Ins;
-  std::vector<std::string> Outs;
-  Formula Body;
+  /// \p Other, once checked to have this relation's arities.
+  const Relation &sameArity(const Relation &Other) const;
+
+  size_t InArity;
 };
 
 } // namespace omega

@@ -6,6 +6,7 @@
 #include "support/Error.h"
 
 #include <sstream>
+#include <tuple>
 
 using namespace omega;
 
@@ -17,25 +18,106 @@ PresburgerSet::PresburgerSet(std::vector<std::string> TupleNames,
     check(Seen.insert(V).second, "duplicate tuple variable");
 }
 
-Formula PresburgerSet::aligned(const PresburgerSet &Other) const {
-  check(Other.Tuple.size() == Tuple.size(), "set arity mismatch");
-  std::map<std::string, std::string> Map;
-  for (size_t I = 0; I < Tuple.size(); ++I)
-    if (Other.Tuple[I] != Tuple[I])
-      Map.emplace(Other.Tuple[I], Tuple[I]);
-  return renameFreeVars(Other.Body, Map);
+namespace {
+
+using Labels = std::vector<std::string>;
+
+/// Every name either operand mentions, binds or labels: fresh names avoid them.
+VarSet namesOf(const PresburgerSet &A, const PresburgerSet &B) {
+  VarSet Used = (A.body() && B.body()).vars();
+  Used.insert(A.tuple().begin(), A.tuple().end());
+  Used.insert(B.tuple().begin(), B.tuple().end());
+  return Used;
 }
 
+/// The symbolic constants of \p S: its body's free names off its tuple.
+VarSet symbolsOf(const PresburgerSet &S) {
+  VarSet Out = S.body().freeVars();
+  for (const std::string &V : S.tuple())
+    Out.erase(V);
+  return Out;
+}
+
+/// Replaces each of L[From, To) that is in \p Taken by a fresh name.
+void unclash(Labels &L, size_t From, size_t To, const VarSet &Taken,
+             VarSet &Used) {
+  for (size_t I = From; I < To; ++I)
+    if (Taken.contains(L[I]))
+      L[I] = freshName(L[I], Used);
+}
+
+/// \p S's body with its tuple renamed onto Onto[At, At + arity).  Each
+/// target that differs from its label is fresh, a name the body neither
+/// mentions nor binds, so the renaming captures nothing.
+Formula renamedOnto(const PresburgerSet &S, const Labels &Onto,
+                    size_t At = 0) {
+  std::map<std::string, std::string> Map;
+  for (size_t I = 0; I < S.tuple().size(); ++I)
+    if (S.tuple()[I] != Onto[At + I])
+      Map.emplace(S.tuple()[I], Onto[At + I]);
+  return renameFreeVars(S.body(), Map);
+}
+
+/// The one alignment rule: the result labels are \p A's, freshened where
+/// they are free symbols of \p B.  Each label of B that differs from its
+/// result label is renamed onto a fresh name, tied to the result label by
+/// an equality under one ∃.  Returns the labels and both bodies over them.
+std::tuple<Labels, Formula, Formula> align(const PresburgerSet &A,
+                                           const PresburgerSet &B) {
+  check(B.tuple().size() == A.tuple().size(), "set arity mismatch");
+  VarSet Used = namesOf(A, B);
+  Labels Out = A.tuple(), Fresh = B.tuple();
+  unclash(Out, 0, Out.size(), symbolsOf(B), Used);
+  VarSet Bound;
+  std::vector<Formula> Links;
+  for (size_t I = 0; I < Fresh.size(); ++I) {
+    if (Fresh[I] == Out[I])
+      continue;
+    Fresh[I] = freshName(Fresh[I], Used);
+    Bound.insert(Fresh[I]);
+    Links.push_back(Formula::atom(Constraint::eq(
+        AffineExpr::variable(Fresh[I]), AffineExpr::variable(Out[I]))));
+  }
+  Links.push_back(renamedOnto(B, Fresh));
+  Formula Mine = renamedOnto(A, Out);
+  return {std::move(Out), std::move(Mine),
+          Formula::exists(std::move(Bound), Formula::conj(std::move(Links)))};
+}
+
+} // namespace
+
 PresburgerSet PresburgerSet::unionWith(const PresburgerSet &Other) const {
-  return PresburgerSet(Tuple, Body || aligned(Other));
+  auto [Out, Mine, Theirs] = align(*this, Other);
+  return PresburgerSet(std::move(Out), Mine || Theirs);
 }
 
 PresburgerSet PresburgerSet::intersect(const PresburgerSet &Other) const {
-  return PresburgerSet(Tuple, Body && aligned(Other));
+  auto [Out, Mine, Theirs] = align(*this, Other);
+  return PresburgerSet(std::move(Out), Mine && Theirs);
 }
 
 PresburgerSet PresburgerSet::subtract(const PresburgerSet &Other) const {
-  return PresburgerSet(Tuple, Body && !aligned(Other));
+  auto [Out, Mine, Theirs] = align(*this, Other);
+  return PresburgerSet(std::move(Out), Mine && !Theirs);
+}
+
+PresburgerSet PresburgerSet::chain(const PresburgerSet &Next,
+                                   size_t Shared) const {
+  const size_t Head = Tuple.size() - Shared, Tail = Head + Shared;
+  VarSet Used = namesOf(*this, Next);
+  Labels All(Tuple.begin(), Tuple.begin() + Head);
+  for (size_t I = 0; I < Shared; ++I)
+    All.push_back(freshName("mid", Used));
+  All.insert(All.end(), Next.Tuple.begin() + Shared, Next.Tuple.end());
+  unclash(All, 0, Head, symbolsOf(Next), Used);
+  VarSet Taken = symbolsOf(*this);
+  Taken.insert(All.begin(), All.begin() + Head);
+  unclash(All, Tail, All.size(), Taken, Used);
+  Formula Both = renamedOnto(*this, All) && renamedOnto(Next, All, Head);
+  VarSet Mid(All.begin() + Head, All.begin() + Tail);
+  All.erase(All.begin() + Head, All.begin() + Tail);
+  return PresburgerSet(std::move(All),
+                       Formula::exists(std::move(Mid), std::move(Both)));
 }
 
 PresburgerSet PresburgerSet::project(const VarSet &Away) const {
@@ -51,11 +133,11 @@ PresburgerSet PresburgerSet::project(const VarSet &Away) const {
 bool PresburgerSet::isEmpty() const { return isUnsatisfiable(Body); }
 
 bool PresburgerSet::isSubsetOf(const PresburgerSet &Other) const {
-  return verifyImplies(Body, aligned(Other));
+  return subtract(Other).isEmpty();
 }
 
 bool PresburgerSet::isEqualTo(const PresburgerSet &Other) const {
-  return verifyEquivalent(Body, aligned(Other));
+  return isSubsetOf(Other) && Other.isSubsetOf(*this);
 }
 
 bool PresburgerSet::contains(const Assignment &Point) const {

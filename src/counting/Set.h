@@ -6,9 +6,9 @@
 ///
 /// \file
 /// A Presburger-definable set of integer tuples { [v1..vk] : F } with the
-/// full boolean algebra, projection, counting and sampling — the
-/// set-level sibling of Relation and the natural front door for users who
-/// just want "how many points does this set have, as a formula in n?".
+/// full boolean algebra, projection, counting and sampling — the natural
+/// front door for users who just want "how many points does this set have,
+/// as a formula in n?".  A Relation is one of these plus an input arity.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +30,9 @@ public:
   const std::vector<std::string> &tuple() const { return Tuple; }
   const Formula &body() const { return Body; }
 
+  /// Operands align by position; the arities must match.  The result keeps
+  /// this set's labels, but one that is a free symbol of Other is replaced
+  /// by a fresh name, so no symbol is ever bound.
   PresburgerSet unionWith(const PresburgerSet &Other) const;
   PresburgerSet intersect(const PresburgerSet &Other) const;
   PresburgerSet subtract(const PresburgerSet &Other) const;
@@ -55,10 +58,14 @@ public:
 
   std::string toString() const;
 
-private:
-  /// Other's body with its tuple renamed to this set's tuple names.
-  Formula aligned(const PresburgerSet &Other) const;
+protected:
+  /// { [Head ++ Tail] : ∃Mid. this(Head ++ Mid) ∧ Next(Mid ++ Tail) } with
+  /// fresh Mid: this set's last \p Shared positions meet Next's first (both
+  /// arities are at least \p Shared).  A Head or Tail label that is a
+  /// symbol of the other operand, or repeats a Head label, is freshened.
+  PresburgerSet chain(const PresburgerSet &Next, size_t Shared) const;
 
+private:
   std::vector<std::string> Tuple;
   Formula Body;
 };

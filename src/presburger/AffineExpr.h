@@ -16,7 +16,7 @@
 /// nodes and no string comparisons anywhere (DESIGN.md §16).
 ///
 /// Two orders coexist deliberately:
-///   * storage (and `terms()` / `forEachTerm`) is id order — fast machine
+///   * storage (and `terms()`) is id order — fast machine
 ///     compares; deterministic per process but NOT across concurrent
 ///     query schedules, so it must never leak into output;
 ///   * every observable order — `toString()`, `operator<` (which feeds
@@ -117,12 +117,6 @@ public:
 
   /// Terms in id order (see the file comment: never an observable order).
   TermRange terms() const { return TermRange(Terms, Terms + Size); }
-
-  /// Applies Fn(VarId, const BigInt &) to each term in id order.
-  template <typename F> void forEachTerm(F &&Fn) const {
-    for (uint32_t I = 0; I < Size; ++I)
-      Fn(Terms[I].Var, Terms[I].Coef);
-  }
 
   /// Applies Fn(VarId, const BigInt &) to each term in *name* order — the
   /// observable order, for printing and order-sensitive tie-breaks.

@@ -26,8 +26,10 @@ struct Chunk {
   std::string Names[ChunkSize];
 };
 
+/// Constant-initialized, so chunks no name reaches cost no memory.
+constinit std::atomic<Chunk *> NameChunks[MaxChunks] = {};
+
 struct Table {
-  std::atomic<Chunk *> Chunks[MaxChunks] = {};
   std::atomic<uint32_t> Count{0};
   Mutex InternMu;
   /// Keys are views into chunk storage (stable for the process lifetime).
@@ -35,8 +37,8 @@ struct Table {
       OMEGA_GUARDED_BY(InternMu);
 
   ~Table() {
-    for (auto &C : Chunks)
-      delete C.load(std::memory_order_relaxed);
+    for (uint32_t I = 0; I < Count; I += ChunkSize)
+      delete NameChunks[I >> ChunkShift].load(std::memory_order_relaxed);
   }
 };
 
@@ -93,11 +95,11 @@ VarId omega::internVar(std::string_view Name) {
     return VarId(It->second);
   uint32_t Idx = T.Count.load(std::memory_order_relaxed);
   check(Idx < MaxChunks * ChunkSize, "variable table full");
-  Chunk *C = T.Chunks[Idx >> ChunkShift].load(std::memory_order_relaxed);
+  Chunk *C = NameChunks[Idx >> ChunkShift].load(std::memory_order_relaxed);
   if (!C) {
     // Chunks are freed only by the table destructor. omegatidy: allow(naked-new)
     C = new Chunk;
-    T.Chunks[Idx >> ChunkShift].store(C, std::memory_order_release);
+    NameChunks[Idx >> ChunkShift].store(C, std::memory_order_release);
   }
   std::string &Slot = C->Names[Idx & (ChunkSize - 1)];
   Slot.assign(Name.data(), Name.size());
@@ -124,7 +126,7 @@ const std::string &omega::varName(VarId Id) {
   uint32_t Idx = Id.index();
   check(Idx < T.Count.load(std::memory_order_acquire),
         "varName of unpublished VarId");
-  Chunk *C = T.Chunks[Idx >> ChunkShift].load(std::memory_order_acquire);
+  Chunk *C = NameChunks[Idx >> ChunkShift].load(std::memory_order_acquire);
   return C->Names[Idx & (ChunkSize - 1)];
 }
 

@@ -204,8 +204,6 @@ Server::~Server() {
   delete P;
 }
 
-const ServerOptions &Server::options() const { return P->Opts; }
-
 std::string Server::statsJson() { return P->statsJson(); }
 
 bool Server::start(std::string &Err) {

@@ -78,8 +78,6 @@ public:
   /// {admission counters, per-client counters}}.
   std::string statsJson();
 
-  const ServerOptions &options() const;
-
 private:
   struct Impl;
   Impl *P;

@@ -57,5 +57,3 @@ int omega::installShutdownSignalPipe() {
 bool omega::shutdownSignalled() {
   return Signalled.load(std::memory_order_relaxed);
 }
-
-void omega::requestShutdownSignal() { onShutdownSignal(0); }

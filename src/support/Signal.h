@@ -29,10 +29,6 @@ int installShutdownSignalPipe();
 /// to read from any thread).
 bool shutdownSignalled();
 
-/// Programmatic trigger for the same pipe, for tests that want to exercise
-/// the shutdown path without raising a real signal.
-void requestShutdownSignal();
-
 } // namespace omega
 
 #endif // OMEGA_SUPPORT_SIGNAL_H

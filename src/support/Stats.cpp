@@ -8,37 +8,6 @@
 
 using namespace omega;
 
-void PipelineCounters::reset() {
-  FeasibilityTests = 0;
-  ProjectionCalls = 0;
-  ClausesSimplified = 0;
-  SplintersGenerated = 0;
-  CacheHits = 0;
-  CacheMisses = 0;
-  CacheEvictions = 0;
-  CoalescePairs = 0;
-  CoalescePrefiltered = 0;
-  CoalesceMerges = 0;
-  BudgetTrips = 0;
-  DegradedQueries = 0;
-  AutomatonDfaStates = 0;
-  AutomatonProductStates = 0;
-  AutomatonTransitions = 0;
-  BackendFallbacks = 0;
-  EnumeratedPoints = 0;
-  ArithCounters &A = arithCounters();
-  A.Spills = 0;
-  A.FastOps = 0;
-  A.SlowOps = 0;
-  ExprCounters &E = exprCounters();
-  E.Spills = 0;
-  E.InlineOps = 0;
-  SimplifyNanos = 0;
-  DisjointNanos = 0;
-  CoalesceNanos = 0;
-  SummationNanos = 0;
-}
-
 PipelineCounters &omega::pipelineStats() {
   if (detail::ActivePipelineStats)
     return *detail::ActivePipelineStats;

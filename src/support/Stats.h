@@ -66,14 +66,12 @@ struct PipelineCounters {
   std::atomic<uint64_t> BackendFallbacks{0};
   // The BigInt small-value optimization (DESIGN.md §10) keeps its own
   // counters in omega::arithCounters() so the header fast paths need not
-  // see this file; snapshots and reset() fold them in here.
+  // see this file; snapshots fold them in here.
   // Cumulative wall time per phase, in nanoseconds.
   std::atomic<uint64_t> SimplifyNanos{0};
   std::atomic<uint64_t> DisjointNanos{0};
   std::atomic<uint64_t> CoalesceNanos{0};
   std::atomic<uint64_t> SummationNanos{0};
-
-  void reset();
 };
 
 /// IR-layer observability counters (the flat term storage of

@@ -22,20 +22,6 @@ const char *omega::errorKindName(ErrorKind K) {
   return "unknown error";
 }
 
-const char *omega::countStatusName(CountStatus S) {
-  switch (S) {
-  case CountStatus::Exact:
-    return "exact";
-  case CountStatus::Bounded:
-    return "bounded";
-  case CountStatus::Unbounded:
-    return "unbounded";
-  case CountStatus::Error:
-    return "error";
-  }
-  return "unknown";
-}
-
 const char *omega::queryOutcomeName(QueryOutcome O) {
   switch (O) {
   case QueryOutcome::Exact:

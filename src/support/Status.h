@@ -62,8 +62,6 @@ enum class [[nodiscard]] CountStatus {
   Error,     ///< The query never produced a value; see the Error.
 };
 
-const char *countStatusName(CountStatus S);
-
 /// The machine-readable outcome vocabulary shared by every query surface:
 /// CountResult::outcome() produces one, the omegad wire protocol carries
 /// it verbatim (one byte), and the tools derive their exit codes from it

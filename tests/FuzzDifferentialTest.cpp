@@ -11,6 +11,7 @@
 #include "FuzzGen.h"
 
 #include "baselines/Enumerator.h"
+#include "counting/Relation.h"
 #include "counting/Summation.h"
 #include "omega/Omega.h"
 #include "presburger/Parser.h"
@@ -20,6 +21,7 @@
 #include <algorithm>
 #include <iostream>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -226,5 +228,120 @@ TEST_P(CrossBackendDifferential, AllBackendsAgreeExactly) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CrossBackendDifferential,
                          ::testing::Values(uint64_t(5), uint64_t(23),
                                            uint64_t(91)));
+
+//===----------------------------------------------------------------------===//
+// Tuple algebra: set and relation operations on operands whose names collide.
+//===----------------------------------------------------------------------===//
+//
+// Each operand's body is placed over shared coordinates without renaming:
+// its labels are bound under ∃ and tied to the coordinates by equalities.
+// The enumerator counts those formulas, so the oracle shares nothing with
+// the alignment code under test.
+
+constexpr int kTupleCasesPerSeed = 60;
+constexpr int64_t kTupleLo = -4, kTupleHi = 8;
+
+/// \p S's body over the coordinates \p Coords.
+Formula onCoords(const PresburgerSet &S,
+                 const std::vector<std::string> &Coords) {
+  std::vector<Formula> Parts{S.body()};
+  for (size_t I = 0; I < Coords.size(); ++I)
+    Parts.push_back(Formula::atom(
+        Constraint::eq(AffineExpr::variable(S.tuple()[I]),
+                       AffineExpr::variable(Coords[I]))));
+  return Formula::exists(VarSet(S.tuple().begin(), S.tuple().end()),
+                         Formula::conj(std::move(Parts)));
+}
+
+/// One assignment per sample value, every symbol set to it, plus a mixed
+/// one when there are two symbols.
+std::vector<Assignment> symbolSamples(const std::vector<std::string> &Syms) {
+  std::vector<Assignment> Out;
+  for (int64_t V : kSymbolSamples) {
+    Assignment A;
+    for (const std::string &S : Syms)
+      A[S] = BigInt(V);
+    Out.push_back(std::move(A));
+    if (Syms.empty())
+      break;
+  }
+  if (Syms.size() == 2)
+    Out.push_back({{Syms[0], BigInt(7)}, {Syms[1], BigInt(-2)}});
+  return Out;
+}
+
+BigInt oracleCount(const Formula &F, const std::vector<std::string> &Coords,
+                   const Assignment &At) {
+  return enumerateCount(F, Coords, At, kTupleLo, kTupleHi, -9, 12);
+}
+
+class TupleAlgebraFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TupleAlgebraFuzz, SetOperationsMatchEnumerator) {
+  uint64_t Seed = GetParam();
+  fuzz::Generator Gen(Seed);
+  for (int Case = 0; Case < kTupleCasesPerSeed; ++Case) {
+    fuzz::TuplePair P = Gen.nextPair(1 + Case % 2);
+    PresburgerSet A(P.TupleA, parseFormulaOrDie(P.TextA));
+    PresburgerSet B(P.TupleB, parseFormulaOrDie(P.TextB));
+    SCOPED_TRACE("seed=" + std::to_string(Seed) + " case=" +
+                 std::to_string(Case) + "\nA = " + A.toString() +
+                 "\nB = " + B.toString());
+    std::vector<std::string> Coords = {"c0", "c1"};
+    Coords.resize(P.TupleA.size());
+    PresburgerSet Inter = A.intersect(B), Union = A.unionWith(B),
+                  Diff = A.subtract(B);
+    bool Subset = A.isSubsetOf(B);
+    EXPECT_EQ(Subset, Diff.isEmpty());
+    for (const Assignment &At : symbolSamples(P.Symbols)) {
+      SCOPED_TRACE("at " + describe(At));
+      BigInt CA = A.count().evaluateInt(At), CB = B.count().evaluateInt(At);
+      BigInt CI = Inter.count().evaluateInt(At);
+      EXPECT_EQ(CI + Union.count().evaluateInt(At), CA + CB);
+      EXPECT_EQ(CI, oracleCount(onCoords(A, Coords) && onCoords(B, Coords),
+                                Coords, At));
+      BigInt Want = oracleCount(onCoords(A, Coords) && !onCoords(B, Coords),
+                                Coords, At);
+      EXPECT_EQ(Diff.count().evaluateInt(At), Want);
+      // Symbol-free, the enumerator decides inclusion outright; with
+      // symbols, inclusion must at least hold at every sample.
+      if (Subset || P.Symbols.empty())
+        EXPECT_EQ(Subset, Want.isZero());
+    }
+  }
+}
+
+TEST_P(TupleAlgebraFuzz, CompositionIsAssociative) {
+  uint64_t Seed = GetParam();
+  fuzz::Generator Gen(Seed);
+  const std::vector<std::string> &Names = fuzz::Generator::TupleNames;
+  for (int Case = 0; Case < kTupleCasesPerSeed; ++Case) {
+    std::set<std::string> Symbols;
+    auto Next = [&] {
+      std::vector<std::string> Tuple = Gen.pick(Names, 2);
+      std::string Text = Gen.nextBody(Tuple, Names, Symbols);
+      return Relation({Tuple[0]}, {Tuple[1]}, parseFormulaOrDie(Text));
+    };
+    Relation R = Next(), S = Next(), T = Next();
+    SCOPED_TRACE("seed=" + std::to_string(Seed) + " case=" +
+                 std::to_string(Case) + "\nR = " + R.toString() +
+                 "\nS = " + S.toString() + "\nT = " + T.toString());
+    Relation Left = R.compose(S).compose(T), Right = R.compose(S.compose(T));
+    // { c0 -> c1 : ∃d0, d1. T(c0, d0) ∧ S(d0, d1) ∧ R(d1, c1) }.
+    Formula Chain = Formula::exists(
+        {"d0", "d1"}, onCoords(T, {"c0", "d0"}) && onCoords(S, {"d0", "d1"}) &&
+                          onCoords(R, {"d1", "c1"}));
+    for (const Assignment &At :
+         symbolSamples({Symbols.begin(), Symbols.end()})) {
+      SCOPED_TRACE("at " + describe(At));
+      BigInt Want = oracleCount(Chain, {"c0", "c1"}, At);
+      EXPECT_EQ(Left.countPairs().evaluateInt(At), Want);
+      EXPECT_EQ(Right.countPairs().evaluateInt(At), Want);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TupleAlgebraFuzz,
+                         ::testing::Values(uint64_t(7), uint64_t(61)));
 
 } // namespace

@@ -29,6 +29,7 @@
 #ifndef OMEGA_TESTS_FUZZGEN_H
 #define OMEGA_TESTS_FUZZGEN_H
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <random>
@@ -47,6 +48,16 @@ struct FuzzCase {
   std::vector<std::string> Symbols; ///< Symbolic constants in use.
   int64_t BoxLo = 0, BoxHi = 0;     ///< Enumeration box for counted vars.
   int64_t WitnessLo = 0, WitnessHi = 0; ///< Search window for witnesses.
+};
+
+/// Two operands of one arity for the tuple algebra, named to collide:
+/// B's tuple is often a permutation of A's, a label of one is often a
+/// symbolic constant of the other, and binders reuse all of these names.
+/// Every label is bounded within [-4, 8] in its own body.
+struct TuplePair {
+  std::vector<std::string> TupleA, TupleB;
+  std::string TextA, TextB;
+  std::vector<std::string> Symbols; ///< The symbols either body reads.
 };
 
 class Generator {
@@ -83,9 +94,70 @@ public:
     return FC;
   }
 
+  /// A body for a tuple with labels \p Labels, each bounded within [-4, 8],
+  /// whose atoms also read \p Symbols and whose binders are named from
+  /// \p Binders, so they may shadow a label or a symbol.
+  std::string tupleBody(const std::vector<std::string> &Labels,
+                        const std::vector<std::string> &Symbols,
+                        const std::vector<std::string> &Binders) {
+    QuantCount = 0;
+    BinderNames = Binders;
+    std::vector<std::string> Pool = Labels;
+    Pool.insert(Pool.end(), Symbols.begin(), Symbols.end());
+    std::ostringstream OS;
+    for (const std::string &V : Labels) {
+      int64_t Lo = range(-4, 0);
+      OS << Lo << " <= " << V << " <= " << Lo + range(4, 8) << " && ";
+    }
+    OS << "(" << tree(Pool, /*Depth=*/2) << ")";
+    BinderNames.clear();
+    return OS.str();
+  }
+
+  /// \p K distinct names drawn from \p Names, in random order.
+  std::vector<std::string> pick(std::vector<std::string> Names, unsigned K) {
+    for (size_t I = Names.size(); I > 1; --I)
+      std::swap(Names[I - 1], Names[range(0, int64_t(I) - 1)]);
+    Names.resize(K);
+    return Names;
+  }
+
+  /// A tupleBody over \p Tuple that reads up to two of the other
+  /// \p Names as symbols (added to \p Symbols), with binders named from
+  /// all of \p Names.
+  std::string nextBody(const std::vector<std::string> &Tuple,
+                       const std::vector<std::string> &Names,
+                       std::set<std::string> &Symbols) {
+    std::vector<std::string> Rest;
+    for (const std::string &N : Names)
+      if (std::find(Tuple.begin(), Tuple.end(), N) == Tuple.end())
+        Rest.push_back(N);
+    std::vector<std::string> Syms =
+        pick(Rest, unsigned(range(0, std::min<int64_t>(2, Rest.size()))));
+    Symbols.insert(Syms.begin(), Syms.end());
+    return tupleBody(Tuple, Syms, Names);
+  }
+
+  /// Two operands of one arity for the tuple algebra (see TuplePair).
+  TuplePair nextPair(unsigned Arity) {
+    TuplePair P;
+    P.TupleA = pick(TupleNames, Arity);
+    P.TupleB = range(0, 1) ? pick(P.TupleA, Arity) : pick(TupleNames, Arity);
+    std::set<std::string> Symbols;
+    P.TextA = nextBody(P.TupleA, TupleNames, Symbols);
+    P.TextB = nextBody(P.TupleB, TupleNames, Symbols);
+    P.Symbols.assign(Symbols.begin(), Symbols.end());
+    return P;
+  }
+
+  /// The names tuple-algebra cases draw labels, symbols and binders from.
+  inline static const std::vector<std::string> TupleNames = {"x", "y", "n",
+                                                              "m"};
+
 private:
   std::mt19937_64 Rng;
   unsigned QuantCount = 0;
+  std::vector<std::string> BinderNames;
 
   /// Uniform-ish in [Lo, Hi] via modulo; bias is irrelevant for fuzzing and
   /// the sequence is reproducible everywhere.
@@ -151,7 +223,11 @@ private:
     // Existential with an internally bounded witness (see file comment).
     if (QuantCount >= 2)
       return atom(Pool);
-    std::string Q = "q" + std::to_string(QuantCount++);
+    std::string Q =
+        BinderNames.empty()
+            ? "q" + std::to_string(QuantCount)
+            : BinderNames[range(0, int64_t(BinderNames.size()) - 1)];
+    ++QuantCount;
     int64_t Lo = range(-6, 2);
     int64_t Hi = Lo + range(2, 8);
     std::vector<std::string> Inner = Pool;

@@ -146,6 +146,79 @@ TEST(RelationTest, ComposeCapturesNothingEitherWay) {
   }
 }
 
+/// R's pair count at \p Symbols, checked against the enumerator.
+int64_t checkedPairs(const Relation &R, const Assignment &Symbols) {
+  BigInt Got = R.countPairs().evaluateInt(Symbols);
+  EXPECT_EQ(Got, enumerateCount(R.body(), R.tuple(), Symbols, -12, 12, -12,
+                                12))
+      << R.toString();
+  return Got.toInt64();
+}
+
+TEST(RelationTest, IntersectWithBinderNamedLikeATupleLabel) {
+  // Other's binder x is this relation's input label: aligning Other's
+  // tuple onto [x] -> [y] must not rename z into that binder.
+  Relation A({"x"}, {"y"}, parseFormulaOrDie("y = x && 0 <= x <= 3"));
+  Relation B({"z"}, {"w"},
+             parseFormulaOrDie("exists(x: w = z + x && x = 0) && 0 <= z <= 3"));
+  Relation I = A.intersect(B);
+  EXPECT_EQ(I.inputs(), std::vector<std::string>{"x"});
+  EXPECT_EQ(I.outputs(), std::vector<std::string>{"y"});
+  EXPECT_EQ(checkedPairs(I, {}), 4);
+}
+
+TEST(RelationTest, IntersectPermutedTuple) {
+  // B's pairs are (in, in + 1) too, with the labels swapped.
+  Relation A({"x"}, {"y"}, parseFormulaOrDie("y = x + 1 && 0 <= x <= 5"));
+  Relation B({"y"}, {"x"}, parseFormulaOrDie("x = y + 1 && 2 <= y <= 9"));
+  EXPECT_EQ(checkedPairs(A.intersect(B), {}), 4);
+  EXPECT_EQ(checkedPairs(A.subtract(B), {}), 2);
+  EXPECT_EQ(checkedPairs(A.unionWith(B), {}), 10);
+  EXPECT_FALSE(A.isSubsetOf(B));
+  EXPECT_TRUE(A.intersect(B).isSubsetOf(B));
+}
+
+TEST(RelationTest, ComposeWithOwnInverse) {
+  // R^-1 ∘ R and R ∘ R^-1 would both be labelled [v] -> [v]; the output
+  // label is freshened instead, and the identity on 1..n remains.
+  Relation R = shift(1);
+  Relation Back = R.inverse().compose(R);
+  Relation Forth = R.compose(R.inverse());
+  EXPECT_EQ(Back.inputs(), std::vector<std::string>{"x"});
+  EXPECT_EQ(Back.outputs(), std::vector<std::string>{"x0"});
+  EXPECT_EQ(Forth.inputs(), std::vector<std::string>{"y"});
+  EXPECT_EQ(Forth.outputs(), std::vector<std::string>{"y0"});
+  for (int64_t N = 0; N <= 6; ++N) {
+    Assignment At{{"n", BigInt(N)}};
+    EXPECT_EQ(checkedPairs(Back, At), N) << N;
+    EXPECT_EQ(checkedPairs(Forth, At), N) << N;
+  }
+  EXPECT_TRUE(isSatisfiable(Back.body() &&
+                            parseFormulaOrDie("x = 2 && x0 = 2 && n = 3")));
+  EXPECT_FALSE(isSatisfiable(Back.body() &&
+                             parseFormulaOrDie("x = 2 && x0 = 3 && n = 3")));
+}
+
+TEST(RelationTest, FreshOutputLabelIsDeterministic) {
+  Relation R = shift(1);
+  std::string First = R.inverse().compose(R).toString();
+  EXPECT_EQ(First, R.inverse().compose(R).toString());
+  EXPECT_EQ(First.rfind("{[x] -> [x0] : ", 0), 0u) << First;
+}
+
+TEST(RelationTest, ComposeLabelThatIsASymbolOfTheOtherIsFreshened) {
+  // Other's input label n is a symbolic constant of this relation; the
+  // result relabels it rather than bind that symbol.
+  Relation Other({"n"}, {"y"}, parseFormulaOrDie("y = n && 0 <= n <= 4"));
+  Relation This({"y"}, {"z"}, parseFormulaOrDie("z = y && y <= n"));
+  Relation C = This.compose(Other);
+  EXPECT_EQ(C.inputs(), std::vector<std::string>{"n0"});
+  for (int64_t N = -1; N <= 6; ++N)
+    EXPECT_EQ(checkedPairs(C, {{"n", BigInt(N)}}),
+              std::max<int64_t>(0, std::min<int64_t>(N, 4) + 1))
+        << N;
+}
+
 TEST(RelationTest, ToString) {
   Relation R = shift(1);
   std::string S = R.toString();

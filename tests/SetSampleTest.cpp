@@ -2,6 +2,7 @@
 
 #include "counting/Set.h"
 
+#include "baselines/Enumerator.h"
 #include "presburger/Parser.h"
 
 #include <gtest/gtest.h>
@@ -39,6 +40,48 @@ TEST(SetTest, AlignmentRenamesTuples) {
   PresburgerSet B = interval("y", 1, 5);
   EXPECT_TRUE(A.isEqualTo(B));
   EXPECT_TRUE(A.subtract(B).isEmpty());
+}
+
+/// |S| at \p Symbols, checked against the enumerator.
+int64_t checkedCount(const PresburgerSet &S, const Assignment &Symbols) {
+  BigInt Got = S.count().evaluateInt(Symbols);
+  EXPECT_EQ(Got, enumerateCount(S.body(), S.tuple(), Symbols, -12, 12, -12,
+                                12))
+      << S.toString();
+  return Got.toInt64();
+}
+
+TEST(SetTest, IntersectPermutedTuple) {
+  // B's first label is y: its points are (a, b) with a - b = 1.
+  PresburgerSet A({"x", "y"}, parseFormulaOrDie("0 <= x <= 4 && 0 <= y <= 4"));
+  PresburgerSet B({"y", "x"},
+                  parseFormulaOrDie("y - x = 1 && 0 <= x <= 9 && 0 <= y <= 9"));
+  PresburgerSet I = A.intersect(B);
+  EXPECT_EQ(I.tuple(), (std::vector<std::string>{"x", "y"}));
+  EXPECT_EQ(checkedCount(I, {}), 4);
+  EXPECT_EQ(checkedCount(A.subtract(B), {}), 21);
+  EXPECT_EQ(checkedCount(A.unionWith(B), {}), 30);
+  EXPECT_TRUE(I.isSubsetOf(B));
+  EXPECT_FALSE(A.isSubsetOf(B));
+}
+
+TEST(SetTest, LabelThatIsASymbolOfTheOtherIsFreshened) {
+  // {[n] : 0 <= n <= 5} ∩ {[x] : 0 <= x <= n}: the second set's n is a
+  // symbolic constant, so the result relabels the first set's n.
+  PresburgerSet A({"n"}, parseFormulaOrDie("0 <= n <= 5"));
+  PresburgerSet B({"x"}, parseFormulaOrDie("0 <= x <= n"));
+  PresburgerSet I = A.intersect(B);
+  EXPECT_EQ(I.tuple(), std::vector<std::string>{"n0"});
+  for (int64_t N = -2; N <= 8; ++N) {
+    Assignment At{{"n", BigInt(N)}};
+    EXPECT_EQ(checkedCount(I, At),
+              std::max<int64_t>(0, std::min<int64_t>(N, 5) + 1))
+        << N;
+    EXPECT_EQ(checkedCount(A.subtract(B), At),
+              6 - std::max<int64_t>(0, std::min<int64_t>(N, 5) + 1))
+        << N;
+  }
+  EXPECT_FALSE(A.isSubsetOf(B));
 }
 
 TEST(SetTest, ProjectionAndContains) {

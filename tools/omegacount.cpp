@@ -221,6 +221,9 @@ int runTool(int Argc, char **Argv) {
   for (const std::string &V : Vars)
     if (isWildcardName(V))
       fail("\"" + V + "\" is a reserved wildcard name");
+  VarSet VS(Vars.begin(), Vars.end());
+  if (VS.size() != Vars.size())
+    fail("duplicate variable in --vars");
   // Install the tool-level query environment (cache, stats
   // collection) for the rest of the run; queries nest beneath it.
   ToolQueryScope QueryScope(TO);
@@ -265,9 +268,6 @@ int runTool(int Argc, char **Argv) {
 
   if (Vars.empty())
     fail("--vars required for counting");
-  VarSet VS(Vars.begin(), Vars.end());
-  if (VS.size() != Vars.size())
-    fail("duplicate variable in --vars");
   const char *What = SumText.empty() ? "count" : "sum";
   QuasiPolynomial X =
       SumText.empty() ? QuasiPolynomial(Rational(1)) : parseSummand(SumText);
