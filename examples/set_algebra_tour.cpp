@@ -34,7 +34,7 @@ int main() {
             << Either.count().evaluateInt(At) << " / "
             << OnlyEven.count().evaluateInt(At) << "\n";
   if (auto P = Both.sample(At))
-    std::cout << "  a common member: x = " << P->at("x") << "\n";
+    std::cout << "  a common member: x = " << P->at(internVar("x")) << "\n";
   // Tuples align by position, not by name: Steps' first label is y.
   PresburgerSet Below({"x", "y"}, parseFormulaOrDie("0 <= x < y <= n"));
   PresburgerSet Steps({"y", "x"}, parseFormulaOrDie("x = y + 1"));

@@ -140,16 +140,16 @@ void Validator::checkConjunct(const Conjunct &C, const std::string &Loc) {
   // and every declaration must be used.
   VarSet Mentioned = C.mentionedVars();
   if (!Opts.AllowFreeWildcardNames)
-    for (const std::string &V : Mentioned)
-      if (isWildcardName(V) && !C.isWildcard(V))
+    for (VarId V : Mentioned)
+      if (V.isWildcard() && !C.isWildcard(V))
         report(Severity::Error, IRLayer::Conjunct, "wildcard-undeclared",
-               "wildcard '" + V +
+               "wildcard '" + varName(V) +
                    "' is mentioned but not declared by its clause",
                Loc);
-  for (const std::string &W : C.wildcards())
-    if (!Mentioned.count(W))
+  for (VarId W : C.wildcards())
+    if (!Mentioned.contains(W))
       report(Severity::Warning, IRLayer::Conjunct, "wildcard-unused",
-             "wildcard '" + W + "' is declared but never referenced",
+             "wildcard '" + varName(W) + "' is declared but never referenced",
              Loc);
 
   const std::vector<Constraint> &Ks = C.constraints();
@@ -213,22 +213,23 @@ void Validator::checkFormulaRec(const Formula &F, VarSet &Bound,
              Loc);
     VarSet BodyFree = F.body().freeVars();
     VarSet Added;
-    for (const std::string &V : F.quantified()) {
-      if (Bound.count(V))
+    for (VarId V : F.quantified()) {
+      if (Bound.contains(V))
         report(Severity::Warning, IRLayer::Formula, "quantifier-shadowing",
-               "quantifier rebinds '" + V +
+               "quantifier rebinds '" + varName(V) +
                    "', already bound by an enclosing quantifier",
                Loc);
       else
         Added.insert(V);
-      if (!BodyFree.count(V))
+      if (!BodyFree.contains(V))
         report(Severity::Warning, IRLayer::Formula, "quantifier-unused",
-               "quantified variable '" + V + "' does not occur in the body",
+               "quantified variable '" + varName(V) +
+                   "' does not occur in the body",
                Loc);
     }
     Bound.insert(Added.begin(), Added.end());
     checkFormulaRec(F.body(), Bound, Loc + ", body");
-    for (const std::string &V : Added)
+    for (VarId V : Added)
       Bound.erase(V);
     return;
   }

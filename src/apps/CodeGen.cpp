@@ -12,7 +12,7 @@ using namespace omega;
 namespace {
 
 /// Splits the Ge constraints of \p C on \p V into lower/upper bound forms.
-void boundsOf(const Conjunct &C, const std::string &V,
+void boundsOf(const Conjunct &C, VarId V,
               std::vector<std::pair<BigInt, AffineExpr>> &Lowers,
               std::vector<std::pair<BigInt, AffineExpr>> &Uppers) {
   for (const Constraint &K : C.constraints()) {
@@ -66,11 +66,12 @@ GeneratedScan omega::generateScan(const Conjunct &C,
     check(Shadow.size() <= 1, "real shadow must be a single clause");
     GeneratedLoop L;
     L.Var = Order[Level];
+    const VarId V = internVar(L.Var);
     if (!Shadow.empty()) {
-      boundsOf(Shadow[0], L.Var, L.Lowers, L.Uppers);
+      boundsOf(Shadow[0], V, L.Lowers, L.Uppers);
       // Strides surviving projection make the bounds inexact.
       for (const Constraint &K : Shadow[0].constraints())
-        if (K.isStride() && K.mentions(L.Var))
+        if (K.isStride() && K.mentions(V))
           Scan.Exact = false;
       for (const auto &[Coef, Expr] : L.Lowers) {
         (void)Expr;
@@ -161,11 +162,12 @@ void runLevel(const GeneratedScan &Scan, size_t Level, Assignment &Point,
     HaveHi = true;
   }
   check(HaveLo && HaveHi, "generated loop must have bounds");
+  const VarId Var = internVar(L.Var);
   for (BigInt V = Lo; V <= Hi; ++V) {
-    Point[L.Var] = V;
+    Point[Var] = V;
     runLevel(Scan, Level + 1, Point, Out);
   }
-  Point.erase(L.Var);
+  Point.erase(Var);
 }
 
 } // namespace

@@ -14,8 +14,7 @@ AffineExpr primeExpr(const AffineExpr &E, const std::vector<std::string> &Vars,
                      const std::string &Suffix) {
   AffineExpr Out = E;
   for (const std::string &V : Vars)
-    if (Out.mentions(V))
-      Out.renameVar(V, V + Suffix);
+    Out.renameVar(internVar(V), internVar(V + Suffix));
   return Out;
 }
 
@@ -37,8 +36,7 @@ Formula primedSpace(const LoopNest &Nest, const std::string &Suffix) {
   for (const Constraint &G : Nest.guards()) {
     Constraint GP = G;
     for (const std::string &V : Vars)
-      if (GP.mentions(V))
-        GP.renameVar(V, V + Suffix);
+      GP.renameVar(internVar(V), internVar(V + Suffix));
     Primed.guard(std::move(GP));
   }
   return Primed.iterationSpace();
@@ -93,7 +91,7 @@ PiecewiseValue omega::countDependencePairs(const LoopNest &Nest,
   Formula F = dependencePairs(Nest, Src, Dst, Suffix);
   VarSet Vars = Nest.vars();
   for (const std::string &V : Nest.varOrder())
-    Vars.insert(V + Suffix);
+    Vars.insert(internVar(V + Suffix));
   return countSolutions(F, Vars).Value;
 }
 
@@ -123,7 +121,7 @@ PiecewiseValue omega::splitCommunicationCells(
       AffineExpr::variable(SplitVar))));
   VarSet PrimedVars;
   for (const std::string &V : Vars)
-    PrimedVars.insert(V + Suffix);
+    PrimedVars.insert(internVar(V + Suffix));
   for (size_t D = 0; D < Read.Subscripts.size(); ++D)
     R.push_back(Formula::atom(Constraint::eq(
         AffineExpr::variable(Elems[D]) -

@@ -9,8 +9,8 @@ Formula omega::ownedBy(const BlockCyclic &Dist, const std::string &TVar,
   // ∃ l, c: t = l + B*p + B*P*c ∧ 0 <= l < B ∧ 0 <= c ∧ 0 <= p < P
   //         ∧ 0 <= t < Extent.
   VarSet Used{TVar, PVar};
-  std::string L = freshName("l", Used);
-  std::string C = freshName("c", Used);
+  VarId L = freshVar("l", Used);
+  VarId C = freshVar("c", Used);
   AffineExpr T = AffineExpr::variable(TVar);
   AffineExpr P = AffineExpr::variable(PVar);
   AffineExpr LV = AffineExpr::variable(L);
@@ -28,7 +28,10 @@ Formula omega::ownedBy(const BlockCyclic &Dist, const std::string &TVar,
   Parts.push_back(Formula::atom(Constraint::ge(T)));
   Parts.push_back(Formula::atom(
       Constraint::ge(AffineExpr(Dist.Extent - BigInt(1)) - T)));
-  return Formula::exists({L, C}, Formula::conj(std::move(Parts)));
+  VarSet Bound;
+  Bound.insert(L);
+  Bound.insert(C);
+  return Formula::exists(std::move(Bound), Formula::conj(std::move(Parts)));
 }
 
 PiecewiseValue omega::cellsPerProcessor(const BlockCyclic &Dist) {

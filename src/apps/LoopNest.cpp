@@ -39,7 +39,7 @@ std::vector<std::string> LoopNest::varOrder() const {
 VarSet LoopNest::vars() const {
   VarSet Out;
   for (const Loop &L : Loops)
-    Out.insert(L.Var);
+    Out.insert(internVar(L.Var));
   return Out;
 }
 

@@ -61,7 +61,7 @@ PiecewiseValue omega::countDistinctCacheLines(
   for (size_t D = 0; D < ElemVars.size(); ++D) {
     std::string LV = "line" + std::to_string(D);
     LineVars.push_back(LV);
-    Quantified.insert(ElemVars[D]);
+    Quantified.insert(internVar(ElemVars[D]));
     if (D != Map.LineDim) {
       Parts.push_back(Formula::atom(Constraint::eq(
           AffineExpr::variable(LV) - AffineExpr::variable(ElemVars[D]))));

@@ -27,7 +27,7 @@ PiecewiseValue omega::perIterationWork(const LoopNest &Nest,
                                        const QuasiPolynomial &FlopsPerIter) {
   // Sum over the inner variables only; the outer variable stays symbolic.
   VarSet Inner = Nest.vars();
-  Inner.erase(OuterVar);
+  Inner.erase(internVar(OuterVar));
   return sumPolynomial(Nest.iterationSpace(), Inner, FlopsPerIter).Value;
 }
 
@@ -64,7 +64,7 @@ std::vector<Chunk> omega::balancedChunks(const LoopNest &Nest,
   // the nest nor the work uses.
   VarSet Taken = Nest.iterationSpace().vars();
   FlopsPerIter.collectVars(Taken);
-  std::string KVar = freshName("chunkK", Taken);
+  std::string KVar = varName(freshVar("chunkK", Taken));
   PiecewiseValue Prefix = prefixWork(Nest, OuterVar, KVar, FlopsPerIter);
   check(!Prefix.isUnbounded(), "prefix work diverges");
 

@@ -18,7 +18,7 @@ omega::offsetsZeroOneFormula(const std::vector<Offset> &Offsets,
   VarSet Zs;
   std::vector<AffineExpr> ZVars;
   for (size_t K = 0; K < Offsets.size(); ++K) {
-    std::string Z = freshName("z" + std::to_string(K) + "_", Used);
+    VarId Z = freshVar("z" + std::to_string(K) + "_", Used);
     Zs.insert(Z);
     ZVars.push_back(AffineExpr::variable(Z));
   }

@@ -59,8 +59,12 @@ bool omega::evaluateInBox(const Formula &F, Assignment &Values,
     return !evaluateInBox(F.children()[0], Values, WitnessLo, WitnessHi);
   case FormulaKind::Exists:
   case FormulaKind::Forall: {
-    std::vector<std::string> Vars(F.quantified().begin(),
-                                  F.quantified().end());
+    std::vector<VarId> Vars(F.quantified().begin(), F.quantified().end());
+    // Outer bindings the quantifier shadows, restored after the search.
+    Assignment Shadowed;
+    for (VarId V : Vars)
+      if (const BigInt *Outer = Values.lookup(V))
+        Shadowed[V] = *Outer;
     bool IsExists = F.kind() == FormulaKind::Exists;
     std::vector<int64_t> Vals(Vars.size(), WitnessLo);
     bool Result = !IsExists;
@@ -82,8 +86,9 @@ bool omega::evaluateInBox(const Formula &F, Assignment &Values,
       if (I == Vals.size())
         break;
     }
-    for (const std::string &V : Vars)
+    for (VarId V : Vars)
       Values.erase(V);
+    Values.insert(Shadowed.begin(), Shadowed.end());
     return Result;
   }
   }

@@ -17,7 +17,7 @@ struct SimpleBound {
 };
 
 /// Bounds with unit coefficients only (affine loop nests).
-void collectUnitBounds(const Conjunct &C, const std::string &V,
+void collectUnitBounds(const Conjunct &C, VarId V,
                        std::vector<SimpleBound> &Lowers,
                        std::vector<SimpleBound> &Uppers) {
   const std::vector<Constraint> &Ks = C.constraints();
@@ -38,7 +38,7 @@ void collectUnitBounds(const Conjunct &C, const std::string &V,
   }
 }
 
-QuasiPolynomial sumUnitRange(const QuasiPolynomial &X, const std::string &V,
+QuasiPolynomial sumUnitRange(const QuasiPolynomial &X, VarId V,
                              const AffineExpr &L, const AffineExpr &U,
                              unsigned &Steps) {
   std::vector<QuasiPolynomial> Coefs = X.coefficientsOf(V);
@@ -77,7 +77,7 @@ public:
       ++Result.NumTerms;
       return;
     }
-    const std::string &V = Order[Level];
+    VarId V = internVar(Order[Level]);
     std::vector<SimpleBound> Lowers, Uppers;
     collectUnitBounds(C, V, Lowers, Uppers);
     check(!Lowers.empty() && !Uppers.empty(), "loop variable must be bounded");
@@ -150,7 +150,8 @@ omega::naiveClosedFormSum(const Conjunct &C,
                           const QuasiPolynomial &X) {
   Conjunct Cur = C;
   QuasiPolynomial Val = X;
-  for (const std::string &V : Order) {
+  for (const std::string &Name : Order) {
+    VarId V = internVar(Name);
     std::vector<SimpleBound> Lowers, Uppers;
     collectUnitBounds(Cur, V, Lowers, Uppers);
     check(!Lowers.empty() && !Uppers.empty(), "loop variable must be bounded");

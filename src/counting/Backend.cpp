@@ -96,8 +96,8 @@ bool hasSymbols(const Formula &F, const VarSet &Vars,
                 const QuasiPolynomial &X) {
   VarSet Free = F.freeVars();
   X.collectVars(Free);
-  for (const std::string &V : Free)
-    if (!Vars.count(V))
+  for (VarId V : Free)
+    if (!Vars.contains(V))
       return true;
   return false;
 }
@@ -115,8 +115,7 @@ struct VarHull {
   BigInt Lo, Hi;
 };
 
-VarHull hullOfVar(const Conjunct &C, const std::string &V,
-                  const VarSet &Vars) {
+VarHull hullOfVar(const Conjunct &C, VarId V, const VarSet &Vars) {
   VarSet Others = Vars;
   Others.erase(V);
   VarHull H;
@@ -180,7 +179,7 @@ DerivedBox deriveBoxFromClauses(const std::vector<Conjunct> &Clauses,
     Out.Outcome = BoxOutcome::Empty;
     return Out;
   }
-  for (const std::string &V : Vars) {
+  for (VarId V : Vars) {
     bool Any = false;
     BigInt Lo, Hi;
     for (const Conjunct &C : Clauses) {
@@ -207,15 +206,15 @@ DerivedBox deriveBoxFromClauses(const std::vector<Conjunct> &Clauses,
       // only emits feasible clauses, so treat defensively as a refusal
       // rather than claiming the set is empty.
       Out.Outcome = BoxOutcome::Refused;
-      Out.Reason = "no finite range derivable for " + V;
+      Out.Reason = "no finite range derivable for " + varName(V);
       return Out;
     }
     if (!Lo.fitsInt64() || !Hi.fitsInt64()) {
       Out.Outcome = BoxOutcome::Refused;
-      Out.Reason = "bounds of " + V + " exceed int64";
+      Out.Reason = "bounds of " + varName(V) + " exceed int64";
       return Out;
     }
-    Out.Box[V] = VarBounds{Lo.toInt64(), Hi.toInt64()};
+    Out.Box[varName(V)] = VarBounds{Lo.toInt64(), Hi.toInt64()};
   }
   Out.Outcome = BoxOutcome::Bounded;
   return Out;

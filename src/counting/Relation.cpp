@@ -8,8 +8,8 @@
 
 using namespace omega;
 
-static std::vector<std::string> concat(std::vector<std::string> L,
-                                       const std::vector<std::string> &R) {
+template <typename T>
+static std::vector<T> concat(std::vector<T> L, const std::vector<T> &R) {
   L.insert(L.end(), R.begin(), R.end());
   return L;
 }
@@ -21,11 +21,11 @@ Relation::Relation(std::vector<std::string> Ins,
 Relation::Relation(PresburgerSet Pairs, size_t Arity)
     : PresburgerSet(std::move(Pairs)), InArity(Arity) {}
 
-std::vector<std::string> Relation::inputs() const {
+std::vector<VarId> Relation::inputs() const {
   return {tuple().begin(), tuple().begin() + InArity};
 }
 
-std::vector<std::string> Relation::outputs() const {
+std::vector<VarId> Relation::outputs() const {
   return {tuple().begin() + InArity, tuple().end()};
 }
 
@@ -36,7 +36,9 @@ const Relation &Relation::sameArity(const Relation &Other) const {
 }
 
 Relation Relation::inverse() const {
-  return Relation(outputs(), inputs(), body());
+  return Relation(
+      PresburgerSet(ByVars(), concat(outputs(), inputs()), body()),
+      tuple().size() - InArity);
 }
 
 Relation Relation::compose(const Relation &Other) const {
@@ -85,7 +87,7 @@ std::string Relation::toString() const {
   std::ostringstream OS;
   OS << "{[";
   for (size_t I = 0; I < tuple().size(); ++I)
-    OS << (I == InArity ? "] -> [" : I ? "," : "") << tuple()[I];
+    OS << (I == InArity ? "] -> [" : I ? "," : "") << varName(tuple()[I]);
   OS << (InArity == tuple().size() ? "] -> [" : "") << "] : " << body()
      << "}";
   return OS.str();

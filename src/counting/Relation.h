@@ -32,8 +32,8 @@ public:
   Relation(std::vector<std::string> Ins, std::vector<std::string> Outs,
            Formula Body);
 
-  std::vector<std::string> inputs() const;
-  std::vector<std::string> outputs() const;
+  std::vector<VarId> inputs() const;
+  std::vector<VarId> outputs() const;
 
   /// { [o] -> [i] : R(i, o) }.
   Relation inverse() const;

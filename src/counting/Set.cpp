@@ -10,17 +10,17 @@
 
 using namespace omega;
 
-PresburgerSet::PresburgerSet(std::vector<std::string> TupleNames,
-                             Formula BodyF)
-    : Tuple(std::move(TupleNames)), Body(std::move(BodyF)) {
-  VarSet Seen;
-  for (const std::string &V : Tuple)
-    check(Seen.insert(V).second, "duplicate tuple variable");
-}
-
 namespace {
 
-using Labels = std::vector<std::string>;
+using Labels = std::vector<VarId>;
+
+/// Tuple labels given by name are user text, interned here once.
+Labels idsOf(const std::vector<std::string> &Names) {
+  Labels Out;
+  for (const std::string &N : Names)
+    Out.push_back(internVar(N)); // omegatidy: allow(name-lookup)
+  return Out;
+}
 
 /// Every name either operand mentions, binds or labels: fresh names avoid them.
 VarSet namesOf(const PresburgerSet &A, const PresburgerSet &B) {
@@ -33,7 +33,7 @@ VarSet namesOf(const PresburgerSet &A, const PresburgerSet &B) {
 /// The symbolic constants of \p S: its body's free names off its tuple.
 VarSet symbolsOf(const PresburgerSet &S) {
   VarSet Out = S.body().freeVars();
-  for (const std::string &V : S.tuple())
+  for (VarId V : S.tuple())
     Out.erase(V);
   return Out;
 }
@@ -43,7 +43,7 @@ void unclash(Labels &L, size_t From, size_t To, const VarSet &Taken,
              VarSet &Used) {
   for (size_t I = From; I < To; ++I)
     if (Taken.contains(L[I]))
-      L[I] = freshName(L[I], Used);
+      L[I] = freshVar(varName(L[I]), Used);
 }
 
 /// \p S's body with its tuple renamed onto Onto[At, At + arity).  Each
@@ -51,7 +51,7 @@ void unclash(Labels &L, size_t From, size_t To, const VarSet &Taken,
 /// mentions nor binds, so the renaming captures nothing.
 Formula renamedOnto(const PresburgerSet &S, const Labels &Onto,
                     size_t At = 0) {
-  std::map<std::string, std::string> Map;
+  std::map<VarId, VarId> Map;
   for (size_t I = 0; I < S.tuple().size(); ++I)
     if (S.tuple()[I] != Onto[At + I])
       Map.emplace(S.tuple()[I], Onto[At + I]);
@@ -73,7 +73,7 @@ std::tuple<Labels, Formula, Formula> align(const PresburgerSet &A,
   for (size_t I = 0; I < Fresh.size(); ++I) {
     if (Fresh[I] == Out[I])
       continue;
-    Fresh[I] = freshName(Fresh[I], Used);
+    Fresh[I] = freshVar(varName(Fresh[I]), Used);
     Bound.insert(Fresh[I]);
     Links.push_back(Formula::atom(Constraint::eq(
         AffineExpr::variable(Fresh[I]), AffineExpr::variable(Out[I]))));
@@ -86,19 +86,31 @@ std::tuple<Labels, Formula, Formula> align(const PresburgerSet &A,
 
 } // namespace
 
+PresburgerSet::PresburgerSet(const std::vector<std::string> &TupleNames,
+                             Formula BodyF)
+    : PresburgerSet(ByVars(), idsOf(TupleNames), std::move(BodyF)) {}
+
+PresburgerSet::PresburgerSet(ByVars, std::vector<VarId> TupleVars,
+                             Formula BodyF)
+    : Tuple(std::move(TupleVars)), Body(std::move(BodyF)) {
+  VarSet Seen;
+  for (VarId V : Tuple)
+    check(Seen.insert(V).second, "duplicate tuple variable");
+}
+
 PresburgerSet PresburgerSet::unionWith(const PresburgerSet &Other) const {
   auto [Out, Mine, Theirs] = align(*this, Other);
-  return PresburgerSet(std::move(Out), Mine || Theirs);
+  return PresburgerSet(ByVars(), std::move(Out), Mine || Theirs);
 }
 
 PresburgerSet PresburgerSet::intersect(const PresburgerSet &Other) const {
   auto [Out, Mine, Theirs] = align(*this, Other);
-  return PresburgerSet(std::move(Out), Mine && Theirs);
+  return PresburgerSet(ByVars(), std::move(Out), Mine && Theirs);
 }
 
 PresburgerSet PresburgerSet::subtract(const PresburgerSet &Other) const {
   auto [Out, Mine, Theirs] = align(*this, Other);
-  return PresburgerSet(std::move(Out), Mine && !Theirs);
+  return PresburgerSet(ByVars(), std::move(Out), Mine && !Theirs);
 }
 
 PresburgerSet PresburgerSet::chain(const PresburgerSet &Next,
@@ -107,7 +119,7 @@ PresburgerSet PresburgerSet::chain(const PresburgerSet &Next,
   VarSet Used = namesOf(*this, Next);
   Labels All(Tuple.begin(), Tuple.begin() + Head);
   for (size_t I = 0; I < Shared; ++I)
-    All.push_back(freshName("mid", Used));
+    All.push_back(freshVar("mid", Used));
   All.insert(All.end(), Next.Tuple.begin() + Shared, Next.Tuple.end());
   unclash(All, 0, Head, symbolsOf(Next), Used);
   VarSet Taken = symbolsOf(*this);
@@ -116,18 +128,19 @@ PresburgerSet PresburgerSet::chain(const PresburgerSet &Next,
   Formula Both = renamedOnto(*this, All) && renamedOnto(Next, All, Head);
   VarSet Mid(All.begin() + Head, All.begin() + Tail);
   All.erase(All.begin() + Head, All.begin() + Tail);
-  return PresburgerSet(std::move(All),
+  return PresburgerSet(ByVars(), std::move(All),
                        Formula::exists(std::move(Mid), std::move(Both)));
 }
 
 PresburgerSet PresburgerSet::project(const VarSet &Away) const {
-  std::vector<std::string> Rest;
-  for (const std::string &V : Tuple)
-    if (!Away.count(V))
+  Labels Rest;
+  for (VarId V : Tuple)
+    if (!Away.contains(V))
       Rest.push_back(V);
   check(Rest.size() + Away.size() == Tuple.size(),
         "projected dimensions must be tuple variables");
-  return PresburgerSet(std::move(Rest), Formula::exists(Away, Body));
+  return PresburgerSet(ByVars(), std::move(Rest),
+                       Formula::exists(Away, Body));
 }
 
 bool PresburgerSet::isEmpty() const { return isUnsatisfiable(Body); }
@@ -159,16 +172,16 @@ std::optional<Assignment>
 PresburgerSet::sample(const Assignment &Symbols) const {
   for (const Conjunct &C : simplify(Body)) {
     Conjunct Bound = C;
-    for (const auto &[Name, Value] : Symbols)
-      Bound.substitute(Name, AffineExpr(Value));
+    for (const auto &[V, Value] : Symbols)
+      Bound.substitute(V, AffineExpr(Value));
     if (std::optional<Assignment> P = samplePoint(Bound)) {
       // Report only the tuple dimensions.
       Assignment Out;
-      for (const std::string &V : Tuple) {
-        auto It = P->find(V);
+      for (VarId V : Tuple) {
+        const BigInt *Value = P->lookup(V);
         // A tuple variable the clause does not mention is unconstrained;
         // return 0 for it.
-        Out[V] = It == P->end() ? BigInt(0) : It->second;
+        Out[V] = Value ? *Value : BigInt(0);
       }
       return Out;
     }
@@ -180,7 +193,7 @@ std::string PresburgerSet::toString() const {
   std::ostringstream OS;
   OS << "{[";
   for (size_t I = 0; I < Tuple.size(); ++I)
-    OS << (I ? "," : "") << Tuple[I];
+    OS << (I ? "," : "") << varName(Tuple[I]);
   OS << "] : " << Body << "}";
   return OS.str();
 }

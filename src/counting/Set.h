@@ -25,9 +25,15 @@ namespace omega {
 /// symbolic constants.
 class PresburgerSet {
 public:
-  PresburgerSet(std::vector<std::string> Tuple, Formula Body);
+  /// Tuple labels by name: the boundary where user tuples come in.
+  PresburgerSet(const std::vector<std::string> &Tuple, Formula Body);
+  /// Selects the constructor over interned tuple variables (a tag, since a
+  /// braced list of two names would also match an id vector's iterator
+  /// pair).
+  struct ByVars {};
+  PresburgerSet(ByVars, std::vector<VarId> Tuple, Formula Body);
 
-  const std::vector<std::string> &tuple() const { return Tuple; }
+  const std::vector<VarId> &tuple() const { return Tuple; }
   const Formula &body() const { return Body; }
 
   /// Operands align by position; the arities must match.  The result keeps
@@ -66,7 +72,7 @@ protected:
   PresburgerSet chain(const PresburgerSet &Next, size_t Shared) const;
 
 private:
-  std::vector<std::string> Tuple;
+  std::vector<VarId> Tuple;
   Formula Body;
 };
 

@@ -36,7 +36,7 @@ struct VarBounds {
   std::vector<VarBound> Uppers;
 };
 
-VarBounds collectVarBounds(const Conjunct &C, const std::string &V) {
+VarBounds collectVarBounds(const Conjunct &C, VarId V) {
   VarBounds B;
   const std::vector<Constraint> &Ks = C.constraints();
   for (size_t I = 0; I < Ks.size(); ++I) {
@@ -64,9 +64,9 @@ bool needsReparam(const Conjunct &C, const VarSet &Vars) {
   for (const Constraint &K : C.constraints()) {
     if (K.isGe())
       continue;
-    for (const auto &[Name, Coef] : K.expr().terms()) {
+    for (const auto &[V, Coef] : K.expr().terms()) {
       (void)Coef;
-      if (Vars.count(Name))
+      if (Vars.contains(V))
         return true;
     }
   }
@@ -84,10 +84,10 @@ public:
   bool Unbounded = false;
 
   /// Sums X over the integer points of C in the Vars dimensions.
-  /// \p Pinned, when nonempty, names a variable currently being split on
+  /// \p Pinned, when valid, is a variable currently being split on
   /// multiple bounds; it is eliminated before any other variable.
   void sumClause(Conjunct C, VarSet Vars, QuasiPolynomial X,
-                 std::string Pinned = "") {
+                 VarId Pinned = VarId()) {
     if (Unbounded)
       return;
     // Per-Summer depth: whether the budget trips depends only on this
@@ -106,8 +106,8 @@ public:
     // Counted variables no constraint mentions have infinitely many
     // solutions each.
     VarSet Mentioned = C.mentionedVars();
-    for (const std::string &V : Vars)
-      if (!Mentioned.count(V)) {
+    for (VarId V : Vars)
+      if (!Mentioned.contains(V)) {
         Unbounded = true;
         return;
       }
@@ -136,7 +136,7 @@ public:
     if (Opts.EliminateRedundant)
       removeRedundant(C, /*Aggressive=*/true);
 
-    std::string V = Pinned.empty() ? pickVar(C, Vars) : Pinned;
+    VarId V = Pinned.valid() ? Pinned : pickVar(C, Vars);
     VarBounds B = collectVarBounds(C, V);
     if (B.Lowers.empty() || B.Uppers.empty()) {
       Unbounded = true;
@@ -163,9 +163,9 @@ private:
     for (const Constraint &K : C.constraints()) {
       if (K.isEq())
         continue;
-      for (const auto &[Name, Coef] : K.expr().terms()) {
+      for (const auto &[V, Coef] : K.expr().terms()) {
         (void)Coef;
-        if (C.isWildcard(Name))
+        if (C.isWildcard(V))
           return true;
       }
     }
@@ -181,13 +181,13 @@ private:
 
   /// §4.4 heuristic: fewest (lowers x uppers), preferring variables whose
   /// bounds all have unit coefficients (no splintering needed).
-  std::string pickVar(const Conjunct &C, const VarSet &Vars) {
+  VarId pickVar(const Conjunct &C, const VarSet &Vars) {
     if (!Opts.FreeVariableOrder)
-      return *Vars.rbegin(); // Ablation: fixed (reverse-alphabetical).
-    std::string Best;
+      return *(Vars.end() - 1); // Ablation: fixed (reverse-alphabetical).
+    VarId Best;
     bool BestUnit = false;
     size_t BestCost = 0;
-    for (const std::string &V : Vars) {
+    for (VarId V : Vars) {
       VarBounds B = collectVarBounds(C, V);
       bool Unit = true;
       for (const VarBound &L : B.Lowers)
@@ -198,7 +198,7 @@ private:
           Unit = false;
       size_t Cost = std::max<size_t>(1, B.Lowers.size()) *
                     std::max<size_t>(1, B.Uppers.size());
-      if (Best.empty() || (Unit && !BestUnit) ||
+      if (!Best.valid() || (Unit && !BestUnit) ||
           (Unit == BestUnit && Cost < BestCost)) {
         Best = V;
         BestUnit = Unit;
@@ -212,7 +212,7 @@ private:
   /// into disjoint cases; in case i, bound i is the strict minimum
   /// (maximum) against earlier bounds and weak against later ones.
   void splitBounds(const Conjunct &C, const VarSet &Vars,
-                   const QuasiPolynomial &X, const std::string &V,
+                   const QuasiPolynomial &X, VarId V,
                    const std::vector<VarBound> &Bounds, bool IsUpper) {
     for (size_t I = 0; I < Bounds.size(); ++I) {
       Conjunct Case;
@@ -245,9 +245,8 @@ private:
   }
 
   /// §4.1-4.3: sums X over L <= b*v and a*v <= U (single bound pair).
-  void sumSingleVar(Conjunct C, VarSet Vars, QuasiPolynomial X,
-                    const std::string &V, const VarBound &L,
-                    const VarBound &U) {
+  void sumSingleVar(Conjunct C, VarSet Vars, QuasiPolynomial X, VarId V,
+                    const VarBound &L, const VarBound &U) {
     // Remove v's two bound constraints from the clause.
     Conjunct Rest;
     for (size_t K = 0; K < C.constraints().size(); ++K)
@@ -279,17 +278,17 @@ private:
 
     switch (Opts.Strategy) {
     case BoundStrategy::Splinter:
-      splinterSum(Rest, Vars, SumWith, V, L, U);
+      splinterSum(Rest, Vars, SumWith, L, U);
       return;
     case BoundStrategy::SymbolicMod: {
       // Valid only when the bounds are pure symbolic expressions; fall
       // back to splintering otherwise.
       bool SymbolOnly = true;
-      for (const std::string &W : Vars)
+      for (VarId W : Vars)
         if (L.Expr.mentions(W) || U.Expr.mentions(W))
           SymbolOnly = false;
       if (!SymbolOnly) {
-        splinterSum(Rest, Vars, SumWith, V, L, U);
+        splinterSum(Rest, Vars, SumWith, L, U);
         return;
       }
       symbolicModSum(Rest, Vars, SumWith, L, U);
@@ -308,9 +307,7 @@ private:
   /// forms) and the emptiness guard is a single affine constraint.
   template <typename SumFn>
   void splinterSum(const Conjunct &Rest, const VarSet &Vars, SumFn SumWith,
-                   const std::string &V, const VarBound &L,
-                   const VarBound &U) {
-    (void)V;
+                   const VarBound &L, const VarBound &U) {
     for (BigInt R(0); R < L.Coef; ++R)
       for (BigInt S(0); S < U.Coef; ++S) {
         Conjunct Case = Rest;
@@ -441,13 +438,13 @@ private:
     // Strides touching counted variables become wildcard equalities.
     uint32_t NextWildcard = C.freshWildcard().index();
     Conjunct WithEqs;
-    for (VarId W : C.wildcards().ids())
+    for (VarId W : C.wildcards())
       WithEqs.addWildcard(W);
     for (const Constraint &K : C.constraints()) {
       bool TouchesVars = false;
-      for (const auto &[Name, Coef] : K.expr().terms()) {
+      for (const auto &[V, Coef] : K.expr().terms()) {
         (void)Coef;
-        if (Vars.count(Name) || C.isWildcard(Name))
+        if (Vars.contains(V) || C.isWildcard(V))
           TouchesVars = true;
       }
       if (K.isStride() && TouchesVars) {
@@ -466,10 +463,9 @@ private:
     // name order (the column order reaches the Smith decomposition).
     std::vector<VarId> Cols;
     {
-      VarSet Mentioned = C.mentionedVars();
-      for (auto It = Mentioned.begin(); It != Mentioned.end(); ++It)
-        if (Vars.count(It.id()) || C.isWildcard(It.id()))
-          Cols.push_back(It.id());
+      for (VarId V : C.mentionedVars())
+        if (Vars.contains(V) || C.isWildcard(V))
+          Cols.push_back(V);
     }
     auto ColIdx = [&](VarId N) {
       auto It = std::find(Cols.begin(), Cols.end(), N);
@@ -482,9 +478,9 @@ private:
     Conjunct Others;
     for (const Constraint &K : C.constraints()) {
       bool OnCols = false;
-      for (const auto &[Name, Coef] : K.expr().terms()) {
+      for (const auto &[V, Coef] : K.expr().terms()) {
         (void)Coef;
-        if (ColIdx(Name) != SIZE_MAX)
+        if (ColIdx(V) != SIZE_MAX)
           OnCols = true;
       }
       if (!K.isEq() || !OnCols) {
@@ -536,7 +532,7 @@ private:
     VarSet InX;
     X.collectVars(InX);
     NextWildcard = C.freshWildcard().index();
-    for (VarId V : InX.ids())
+    for (VarId V : InX)
       if (V.isWildcard())
         NextWildcard = std::max(NextWildcard, V.index() + 1);
     std::vector<VarId> Sigma;
@@ -564,10 +560,10 @@ private:
       bool OnCols = false;
       AffineExpr SymbolPart;
       SymbolPart.setConstant(ConstPart);
-      for (const auto &[Name, Coef] : K.expr().terms()) {
-        size_t Idx = ColIdx(Name);
+      for (const auto &[V, Coef] : K.expr().terms()) {
+        size_t Idx = ColIdx(V);
         if (Idx == SIZE_MAX) {
-          SymbolPart.setCoeff(Name, Coef);
+          SymbolPart.setCoeff(V, Coef);
           continue;
         }
         OnCols = true;
@@ -594,13 +590,10 @@ private:
     // Substitute into the summand for the counted columns.
     Rational InvDen(BigInt(1), Den);
     for (unsigned K = 0; K < NumCols; ++K) {
-      if (!Vars.count(Cols[K]))
-        continue;
-      const std::string &ColName = varName(Cols[K]);
-      if (!X.mentions(ColName))
+      if (!Vars.contains(Cols[K]) || !X.mentions(Cols[K]))
         continue;
       QuasiPolynomial Val = QuasiPolynomial::fromAffine(ColNum[K]) * InvDen;
-      X.substitute(ColName, Val);
+      X.substitute(Cols[K], Val);
     }
 
     VarSet NewVars(Sigma.begin(), Sigma.end());

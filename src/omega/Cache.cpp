@@ -63,8 +63,8 @@ std::string projectionKey(const CanonicalConjunct &Canon, const VarSet &Vars,
                           ShadowMode Mode) {
   std::string Key = Canon.Key;
   Key += "|P:";
-  for (const std::string &V : Vars) {
-    Key += V;
+  for (VarId V : Vars) {
+    Key += std::to_string(V.raw());
     Key += ',';
   }
   Key += "|M:";

@@ -114,8 +114,7 @@ struct SimplifyOptions {
 std::vector<Conjunct> simplify(const Formula &F, SimplifyOptions Opts = {});
 
 /// Alpha-renames free occurrences of the map's keys (quantifier-aware).
-Formula renameFreeVars(const Formula &F,
-                       const std::map<std::string, std::string> &Map);
+Formula renameFreeVars(const Formula &F, const std::map<VarId, VarId> &Map);
 
 /// Converts a (possibly overlapping) union of clauses into an equivalent
 /// union of pairwise disjoint clauses (§5.3).

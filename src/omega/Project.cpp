@@ -105,7 +105,7 @@ public:
     chargeDepth(Depth, "projection");
     // Wildcards are existential by definition; fold them into the targets.
     const VarSet Wilds = C.takeWildcards();
-    for (VarId W : Wilds.ids())
+    for (VarId W : Wilds)
       Targets.insert(W);
 
     while (true) {
@@ -116,7 +116,7 @@ public:
       // Drop targets no constraint mentions (they are unconstrained).
       VarSet Mentioned = C.mentionedVars();
       for (auto It = Targets.begin(); It != Targets.end();)
-        It = Mentioned.count(*It) ? std::next(It) : Targets.erase(It);
+        It = Mentioned.contains(*It) ? std::next(It) : Targets.erase(It);
 
       if (Targets.empty()) {
         Results.push_back(std::move(C));
@@ -151,7 +151,7 @@ private:
       // Name order, not storage order: the first-seen tie-break among
       // equal |coefficients| is observable through the elimination choice.
       Ks[I].expr().forEachTermByName([&](VarId V, const BigInt &Coef) {
-        if (!Targets.count(V))
+        if (!Targets.contains(V))
           return;
         BigInt A = Coef.abs();
         if (!Found || A < BestAbs) {
@@ -230,9 +230,9 @@ private:
       if (!K.isStride())
         continue;
       bool HasTarget = false;
-      for (const auto &[Name, Coef] : K.expr().terms()) {
+      for (const auto &[V, Coef] : K.expr().terms()) {
         (void)Coef;
-        if (Targets.count(Name)) {
+        if (Targets.contains(V)) {
           HasTarget = true;
           break;
         }
@@ -259,8 +259,7 @@ private:
     size_t BestCost = 0;
     // Candidates scan in name order: ties on (Exact, Cost) keep the
     // name-least variable, as with the former string set.
-    for (auto It = Targets.begin(); It != Targets.end(); ++It) {
-      VarId V = It.id();
+    for (VarId V : Targets) {
       BoundSet B = collectBounds(C, V);
       bool Exact = true;
       for (const Bound &L : B.Lowers)
@@ -530,12 +529,12 @@ std::optional<Assignment> omega::samplePoint(const Conjunct &C) {
     VarSet Free = Cur.freeVars();
     if (Free.empty())
       return Point;
-    const VarId V = Free.begin().id(); // Name-least free variable.
+    const VarId V = *Free.begin(); // Name-least free variable.
     // Range of v with everything else projected away (real shadow gives a
     // sound superset interval; strides may force skipping within it).
     VarSet Others = Free;
     Others.erase(V);
-    for (VarId W : Cur.wildcards().ids())
+    for (VarId W : Cur.wildcards())
       Others.insert(W);
     std::vector<Conjunct> Shadow = projectVars(Cur, Others, ShadowMode::Real);
     check(Shadow.size() <= 1, "real shadow is a single clause");

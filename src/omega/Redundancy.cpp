@@ -120,7 +120,7 @@ void omega::removeRedundant(Conjunct &C, bool Aggressive) {
       continue;
     }
     Conjunct Rest;
-    for (const std::string &W : C.wildcards())
+    for (VarId W : C.wildcards())
       Rest.addWildcard(W);
     for (size_t J = 0; J < Ks.size(); ++J)
       if (J != I)

@@ -26,7 +26,7 @@
 using namespace omega;
 
 Formula omega::renameFreeVars(const Formula &F,
-                              const std::map<std::string, std::string> &Map) {
+                              const std::map<VarId, VarId> &Map) {
   if (Map.empty())
     return F;
   switch (F.kind()) {
@@ -55,8 +55,8 @@ Formula omega::renameFreeVars(const Formula &F,
   case FormulaKind::Exists:
   case FormulaKind::Forall: {
     // Inner bindings shadow the renaming.
-    std::map<std::string, std::string> Inner = Map;
-    for (const std::string &V : F.quantified())
+    std::map<VarId, VarId> Inner = Map;
+    for (VarId V : F.quantified())
       Inner.erase(V);
     Formula Body = renameFreeVars(F.body(), Inner);
     if (F.kind() == FormulaKind::Exists)
@@ -196,9 +196,7 @@ VarSet effectiveSupport(const Conjunct &C) {
 }
 
 /// A ⊆ B over sorted variable sets.
-bool supportSubset(const VarSet &A, const VarSet &B) {
-  return std::includes(B.begin(), B.end(), A.begin(), A.end());
-}
+bool supportSubset(const VarSet &A, const VarSet &B) { return B.includes(A); }
 
 /// Removes clauses subsumed by another clause (step 1 of §5.3).  Callers
 /// run this after pruneInfeasible, so every clause is feasible — which
@@ -430,7 +428,7 @@ namespace {
 bool violatesAt(const Constraint &K, const Assignment &Values) {
   for (const auto &[V, Coeff] : K.expr().terms()) {
     (void)Coeff;
-    if (!Values.count(V))
+    if (!Values.lookup(V))
       return false;
   }
   return !K.holds(Values);
@@ -526,24 +524,23 @@ bool witnessSeparates(const Conjunct &A, const Conjunct &B,
   std::vector<Assignment> Trials;
   // Single-coordinate exchanges, both directions.
   for (const auto &[V, ValB] : SB) {
-    auto It = SA.find(V);
-    if (It == SA.end() || It->second == ValB)
+    const BigInt *ValA = SA.lookup(V);
+    if (!ValA || *ValA == ValB)
       continue;
     Assignment P = BaseA;
     P[V] = ValB;
     Trials.push_back(std::move(P));
     Assignment Q = BaseB;
-    Q[V] = It->second;
+    Q[V] = *ValA;
     Trials.push_back(std::move(Q));
   }
   // The floored midpoint, plus single-coordinate ±1 nudges of it.
   Assignment Mid = BaseA;
   bool AnyDiff = false;
   for (auto &[V, Val] : Mid) {
-    auto ItA = SA.find(V);
-    auto ItB = SB.find(V);
-    if (ItA != SA.end() && ItB != SB.end() && ItA->second != ItB->second) {
-      Val = BigInt::floorDiv(ItA->second + ItB->second, BigInt(2));
+    const BigInt *InA = SA.lookup(V), *InB = SB.lookup(V);
+    if (InA && InB && *InA != *InB) {
+      Val = BigInt::floorDiv(*InA + *InB, BigInt(2));
       AnyDiff = true;
     }
   }

@@ -16,8 +16,8 @@ Atom Atom::mod(AffineExpr Arg, BigInt Modulus) {
   // Canonicalize: (e mod c) depends only on e's residues mod c.
   AffineExpr Canon;
   Canon.setConstant(BigInt::floorMod(Arg.constant(), Modulus));
-  for (const auto &[Name, C] : Arg.terms())
-    Canon.setCoeff(Name, BigInt::floorMod(C, Modulus));
+  for (const auto &[V, C] : Arg.terms())
+    Canon.setCoeff(V, BigInt::floorMod(C, Modulus));
   A.Arg = std::move(Canon);
   A.Modulus = std::move(Modulus);
   return A;
@@ -25,27 +25,27 @@ Atom Atom::mod(AffineExpr Arg, BigInt Modulus) {
 
 void Atom::collectVars(VarSet &Out) const {
   if (isSymbol())
-    Out.insert(Name);
+    Out.insert(V);
   else
     Arg.collectVars(Out);
 }
 
-bool Atom::mentions(const std::string &V) const {
-  return isSymbol() ? Name == V : Arg.mentions(V);
+bool Atom::mentions(VarId Var) const {
+  return isSymbol() ? V == Var : Arg.mentions(Var);
 }
 
 BigInt Atom::evaluate(const Assignment &Values) const {
   if (isSymbol()) {
-    auto It = Values.find(Name);
-    check(It != Values.end(), "unbound symbol in Atom::evaluate");
-    return It->second;
+    const BigInt *Value = Values.lookup(V);
+    check(Value != nullptr, "unbound symbol in Atom::evaluate");
+    return *Value;
   }
   return BigInt::floorMod(Arg.evaluate(Values), Modulus);
 }
 
 std::string Atom::toString() const {
   if (isSymbol())
-    return Name;
+    return varName(V);
   std::ostringstream OS;
   OS << "(" << Arg << " mod " << Modulus << ")";
   return OS.str();
@@ -71,7 +71,7 @@ QuasiPolynomial QuasiPolynomial::fromAtom(Atom A) {
 QuasiPolynomial QuasiPolynomial::fromAffine(const AffineExpr &E) {
   QuasiPolynomial P(Rational(E.constant()));
   for (const auto &[V, C] : E.terms())
-    P += variable(varName(V)) * Rational(C);
+    P += variable(V) * Rational(C);
   return P;
 }
 
@@ -143,8 +143,8 @@ QuasiPolynomial QuasiPolynomial::pow(const QuasiPolynomial &Base,
   return R;
 }
 
-unsigned QuasiPolynomial::degreeIn(const std::string &Name) const {
-  Atom A = Atom::symbol(Name);
+unsigned QuasiPolynomial::degreeIn(VarId V) const {
+  Atom A = Atom::symbol(V);
   unsigned D = 0;
   for (const auto &[M, C] : Terms) {
     (void)C;
@@ -156,9 +156,9 @@ unsigned QuasiPolynomial::degreeIn(const std::string &Name) const {
 }
 
 std::vector<QuasiPolynomial>
-QuasiPolynomial::coefficientsOf(const std::string &Name) const {
-  Atom A = Atom::symbol(Name);
-  std::vector<QuasiPolynomial> Out(degreeIn(Name) + 1);
+QuasiPolynomial::coefficientsOf(VarId V) const {
+  Atom A = Atom::symbol(V);
+  std::vector<QuasiPolynomial> Out(degreeIn(V) + 1);
   for (const auto &[M, C] : Terms) {
     unsigned D = 0;
     Monomial Rest;
@@ -167,7 +167,7 @@ QuasiPolynomial::coefficientsOf(const std::string &Name) const {
         D = E;
         continue;
       }
-      check(!At.mentions(Name), "mod atom mentions the variable being summed");
+      check(!At.mentions(V), "mod atom mentions the variable being summed");
       Rest.emplace(At, E);
     }
     Out[D].addTerm(std::move(Rest), C);
@@ -175,9 +175,8 @@ QuasiPolynomial::coefficientsOf(const std::string &Name) const {
   return Out;
 }
 
-void QuasiPolynomial::substitute(const std::string &Name,
-                                 const QuasiPolynomial &Value) {
-  std::vector<QuasiPolynomial> Coefs = coefficientsOf(Name);
+void QuasiPolynomial::substitute(VarId V, const QuasiPolynomial &Value) {
+  std::vector<QuasiPolynomial> Coefs = coefficientsOf(V);
   QuasiPolynomial Out = Coefs[0];
   QuasiPolynomial Pow(Rational(1));
   for (size_t D = 1; D < Coefs.size(); ++D) {
@@ -187,12 +186,12 @@ void QuasiPolynomial::substitute(const std::string &Name,
   *this = std::move(Out);
 }
 
-bool QuasiPolynomial::mentions(const std::string &Name) const {
+bool QuasiPolynomial::mentions(VarId V) const {
   for (const auto &[M, C] : Terms) {
     (void)C;
     for (const auto &[A, E] : M) {
       (void)E;
-      if (A.mentions(Name))
+      if (A.mentions(V))
         return true;
     }
   }

@@ -12,6 +12,11 @@
 /// Example 6's answer `(3n² + 2n - n mod 2) / 4` is the quasi-polynomial
 ///   3/4·n² + 1/2·n - 1/4·Mod(n, 2).
 ///
+/// A symbol atom holds its VarId; every query (degree, coefficients,
+/// substitution, mentions, evaluation) keys on ids.  Atoms still *order* by
+/// name, so monomials, and hence every printed answer, come out in name
+/// order whatever order the names were interned in (DESIGN.md §16).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef OMEGA_POLY_QUASIPOLYNOMIAL_H
@@ -33,10 +38,10 @@ class Atom {
 public:
   enum class Kind { Symbol, Mod };
 
-  static Atom symbol(std::string Name) {
+  static Atom symbol(VarId V) {
     Atom A;
     A.K = Kind::Symbol;
-    A.Name = std::move(Name);
+    A.V = V;
     return A;
   }
   /// (Arg mod Modulus); Arg is canonicalized coefficient-wise into
@@ -46,9 +51,9 @@ public:
   Kind kind() const { return K; }
   bool isSymbol() const { return K == Kind::Symbol; }
   bool isMod() const { return K == Kind::Mod; }
-  const std::string &name() const {
-    check(isSymbol(), "name of non-symbol atom");
-    return Name;
+  VarId var() const {
+    check(isSymbol(), "var of non-symbol atom");
+    return V;
   }
   const AffineExpr &arg() const {
     check(isMod(), "arg of non-mod atom");
@@ -61,20 +66,21 @@ public:
 
   /// Variables this atom reads.
   void collectVars(VarSet &Out) const;
-  bool mentions(const std::string &V) const;
+  bool mentions(VarId Var) const;
 
   BigInt evaluate(const Assignment &Values) const;
 
   friend bool operator==(const Atom &L, const Atom &R) {
-    return L.K == R.K && L.Name == R.Name && L.Modulus == R.Modulus &&
+    return L.K == R.K && L.V == R.V && L.Modulus == R.Modulus &&
            L.Arg == R.Arg;
   }
   friend bool operator!=(const Atom &L, const Atom &R) { return !(L == R); }
   friend bool operator<(const Atom &L, const Atom &R) {
     if (L.K != R.K)
       return L.K < R.K;
-    if (L.Name != R.Name)
-      return L.Name < R.Name;
+    // Name order, never id order: it fixes the printed monomial order.
+    if (int C = compareVarNames(L.V, R.V))
+      return C < 0;
     if (L.Modulus != R.Modulus)
       return L.Modulus < R.Modulus;
     return L.Arg < R.Arg;
@@ -84,7 +90,7 @@ public:
 
 private:
   Kind K = Kind::Symbol;
-  std::string Name;   // Symbol.
+  VarId V;            // Symbol.
   AffineExpr Arg;     // Mod.
   BigInt Modulus;     // Mod.
 };
@@ -100,8 +106,12 @@ public:
   QuasiPolynomial(Rational C);
   QuasiPolynomial(int C) : QuasiPolynomial(Rational(C)) {}
 
+  static QuasiPolynomial variable(VarId V) {
+    return fromAtom(Atom::symbol(V));
+  }
+  /// The variable named \p Name (interned): for callers at the boundary.
   static QuasiPolynomial variable(const std::string &Name) {
-    return fromAtom(Atom::symbol(Name));
+    return variable(internVar(Name)); // omegatidy: allow(name-lookup)
   }
   static QuasiPolynomial fromAtom(Atom A);
   /// Converts an affine expression (all variables become Symbol atoms).
@@ -149,19 +159,19 @@ public:
 
   static QuasiPolynomial pow(const QuasiPolynomial &Base, unsigned E);
 
-  /// Degree in the Symbol atom \p Name (0 if absent).
-  unsigned degreeIn(const std::string &Name) const;
+  /// Degree in the Symbol atom \p V (0 if absent).
+  unsigned degreeIn(VarId V) const;
 
-  /// Writes the polynomial as Σ_d Out[d] * Name^d; Out.size() ==
-  /// degreeIn(Name) + 1.  Asserts no Mod atom mentions \p Name.
-  std::vector<QuasiPolynomial> coefficientsOf(const std::string &Name) const;
+  /// Writes the polynomial as Σ_d Out[d] * V^d; Out.size() ==
+  /// degreeIn(V) + 1.  Asserts no Mod atom mentions \p V.
+  std::vector<QuasiPolynomial> coefficientsOf(VarId V) const;
 
-  /// Substitutes the Symbol atom \p Name by \p Value.  Asserts no Mod atom
-  /// mentions \p Name.
-  void substitute(const std::string &Name, const QuasiPolynomial &Value);
+  /// Substitutes the Symbol atom \p V by \p Value.  Asserts no Mod atom
+  /// mentions \p V.
+  void substitute(VarId V, const QuasiPolynomial &Value);
 
-  /// True iff any atom (symbol or mod argument) mentions \p Name.
-  bool mentions(const std::string &Name) const;
+  /// True iff any atom (symbol or mod argument) mentions \p V.
+  bool mentions(VarId V) const;
   void collectVars(VarSet &Out) const;
 
   Rational evaluate(const Assignment &Values) const;

@@ -93,6 +93,7 @@ public:
     E.insertAt(0, V, BigInt(1));
     return E;
   }
+  /// The variable named \p Name (interned): for the parser boundary.
   static AffineExpr variable(const std::string &Name) {
     return variable(internVar(Name));
   }
@@ -106,14 +107,7 @@ public:
     uint32_t Pos = findPos(V);
     return Pos == Size ? zero() : Terms[Pos].Coef;
   }
-  const BigInt &coeff(const std::string &Name) const {
-    VarId V = lookupVar(Name);
-    return V.valid() ? coeff(V) : zero();
-  }
   void setCoeff(VarId V, BigInt C);
-  void setCoeff(const std::string &Name, BigInt C) {
-    setCoeff(internVar(Name), std::move(C));
-  }
 
   /// Terms in id order (see the file comment: never an observable order).
   TermRange terms() const { return TermRange(Terms, Terms + Size); }
@@ -192,19 +186,9 @@ public:
   /// Replaces \p V with \p Replacement (which may itself mention other
   /// variables, but not \p V).
   void substitute(VarId V, const AffineExpr &Replacement);
-  void substitute(const std::string &Name, const AffineExpr &Replacement) {
-    VarId V = lookupVar(Name);
-    if (V.valid())
-      substitute(V, Replacement);
-  }
 
   /// Renames a variable; the new name must not already appear.
   void renameVar(VarId From, VarId To);
-  void renameVar(const std::string &From, const std::string &To) {
-    VarId F = lookupVar(From);
-    if (F.valid() && mentions(F))
-      renameVar(F, internVar(To));
-  }
 
   /// Evaluates with every variable bound by \p Values; asserts all
   /// present.  A linear merge-join: both sides are id-sorted.
@@ -218,10 +202,6 @@ public:
       Out.insert(Terms[I].Var);
   }
   bool mentions(VarId V) const { return findPos(V) != Size; }
-  bool mentions(const std::string &Name) const {
-    VarId V = lookupVar(Name);
-    return V.valid() && mentions(V);
-  }
 
   /// Renders e.g. "2*i - 3*j + 7" (terms in name order).
   std::string toString() const;

@@ -13,14 +13,14 @@ using namespace omega;
 void Conjunct::addAll(const Conjunct &Other) {
   for (const Constraint &C : Other.Items)
     Items.push_back(C);
-  for (VarId W : Other.Wildcards.ids())
+  for (VarId W : Other.Wildcards)
     Wildcards.insert(W);
 }
 
 void Conjunct::pruneUnusedWildcards() {
   VarSet Used = mentionedVars();
-  const std::vector<VarId> Ids = Wildcards.ids();
-  for (VarId W : Ids)
+  const VarSet Declared = Wildcards;
+  for (VarId W : Declared)
     if (!Used.contains(W))
       Wildcards.erase(W);
 }
@@ -34,7 +34,7 @@ VarSet Conjunct::mentionedVars() const {
 
 VarSet Conjunct::freeVars() const {
   VarSet Out = mentionedVars();
-  for (VarId W : Wildcards.ids())
+  for (VarId W : Wildcards)
     Out.erase(W);
   return Out;
 }
@@ -46,22 +46,10 @@ bool Conjunct::mentions(VarId V) const {
   return false;
 }
 
-bool Conjunct::mentions(const std::string &Name) const {
-  VarId V = lookupVar(Name);
-  return V.valid() && mentions(V);
-}
-
 void Conjunct::substitute(VarId V, const AffineExpr &Replacement) {
   for (Constraint &C : Items)
     C.substitute(V, Replacement);
   Wildcards.erase(V);
-}
-
-void Conjunct::substitute(const std::string &Name,
-                          const AffineExpr &Replacement) {
-  VarId V = lookupVar(Name);
-  if (V.valid())
-    substitute(V, Replacement);
 }
 
 void Conjunct::renameVar(VarId From, VarId To) {
@@ -72,22 +60,13 @@ void Conjunct::renameVar(VarId From, VarId To) {
     Wildcards.insert(To);
 }
 
-void Conjunct::renameVar(const std::string &From, const std::string &To) {
-  VarId F = lookupVar(From);
-  if (!F.valid()) {
-    check(From != To, "rename to same name");
-    return;
-  }
-  renameVar(F, internVar(To));
-}
-
 VarId Conjunct::freshWildcard() const {
   uint32_t Next = 0;
   auto See = [&Next](VarId V) {
     if (V.isWildcard())
       Next = std::max(Next, V.index() + 1);
   };
-  for (VarId W : Wildcards.ids())
+  for (VarId W : Wildcards)
     See(W);
   // Id order puts wildcards last, by index: a row's last term is its
   // highest wildcard, if it has any.
@@ -113,10 +92,10 @@ Conjunct Conjunct::merge(const Conjunct &A, const Conjunct &B) {
   Conjunct Out = A, Moved = B;
   uint32_t Next =
       std::max(A.freshWildcard().index(), B.freshWildcard().index());
-  for (VarId W : A.Wildcards.ids())
+  for (VarId W : A.Wildcards)
     if (!B.isWildcard(W) && B.mentions(W))
       Out.renameVar(W, wildcardVar(Next++));
-  for (VarId W : B.Wildcards.ids())
+  for (VarId W : B.Wildcards)
     Moved.renameVar(W, wildcardVar(Next++));
   Out.addAll(Moved);
   return Out;
@@ -146,10 +125,10 @@ std::string Conjunct::toString() const {
   if (!Wildcards.empty()) {
     OS << "exists ";
     bool First = true;
-    for (const std::string &W : Wildcards) {
+    for (VarId W : Wildcards) {
       if (!First)
         OS << ", ";
-      OS << W;
+      OS << varName(W);
       First = false;
     }
     OS << ": ";
@@ -216,7 +195,7 @@ CanonicalConjunct omega::canonicalConjunct(const Conjunct &In) {
   // clause's meaning (and of the key).
   VarSet Used = Out.C.mentionedVars();
   Key += "W:";
-  for (VarId W : In.wildcards().ids())
+  for (VarId W : In.wildcards())
     if (Used.contains(W)) {
       Out.C.addWildcard(W);
       Key += std::to_string(W.raw());

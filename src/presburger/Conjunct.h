@@ -40,14 +40,10 @@ public:
 
   const VarSet &wildcards() const { return Wildcards; }
   void addWildcard(VarId V) { Wildcards.insert(V); }
-  void addWildcard(const std::string &Name) { Wildcards.insert(Name); }
   /// Clause-wildcard membership.  Note this is a set test, not a VarId
   /// role-bit test: projection declares user variables as clause wildcards
   /// without renaming them.
   bool isWildcard(VarId V) const { return Wildcards.contains(V); }
-  bool isWildcard(const std::string &Name) const {
-    return Wildcards.count(Name) != 0;
-  }
   /// Drops wildcard declarations that no constraint mentions.
   void pruneUnusedWildcards();
 
@@ -65,17 +61,14 @@ public:
   VarSet freeVars() const;
 
   bool mentions(VarId V) const;
-  bool mentions(const std::string &Name) const;
 
   /// Substitutes V := Replacement in every constraint.  If V was a
   /// wildcard it stops being one.  Any *new* variables introduced by
   /// Replacement are not quantified.
   void substitute(VarId V, const AffineExpr &Replacement);
-  void substitute(const std::string &Name, const AffineExpr &Replacement);
 
   /// Renames a variable (From must not be To; To must be fresh).
   void renameVar(VarId From, VarId To);
-  void renameVar(const std::string &From, const std::string &To);
 
   /// The wildcard one past the highest "$<n>" this clause declares or
   /// mentions: a name it can bind without capture (DESIGN.md §8).

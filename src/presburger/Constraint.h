@@ -86,16 +86,9 @@ public:
   void substitute(VarId V, const AffineExpr &Replacement) {
     Expr.substitute(V, Replacement);
   }
-  void substitute(const std::string &Name, const AffineExpr &Replacement) {
-    Expr.substitute(Name, Replacement);
-  }
   void renameVar(VarId From, VarId To) { Expr.renameVar(From, To); }
-  void renameVar(const std::string &From, const std::string &To) {
-    Expr.renameVar(From, To);
-  }
   void collectVars(VarSet &Out) const { Expr.collectVars(Out); }
   bool mentions(VarId V) const { return Expr.mentions(V); }
-  bool mentions(const std::string &Name) const { return Expr.mentions(Name); }
 
   /// Canonicalizes: divides an Eq by the gcd of all its coefficients,
   /// tightens a Ge by flooring the constant (the Omega test's

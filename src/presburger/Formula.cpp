@@ -163,7 +163,7 @@ static void collectVars(const Formula &F, bool WithBound, VarSet &Bound,
   case FormulaKind::Atom: {
     VarSet Vars;
     F.constraint().collectVars(Vars);
-    for (VarId V : Vars.ids())
+    for (VarId V : Vars)
       if (WithBound || !Bound.contains(V))
         Out.insert(V);
     return;
@@ -177,14 +177,14 @@ static void collectVars(const Formula &F, bool WithBound, VarSet &Bound,
   case FormulaKind::Exists:
   case FormulaKind::Forall: {
     VarSet Added;
-    for (VarId V : F.quantified().ids()) {
+    for (VarId V : F.quantified()) {
       if (WithBound)
         Out.insert(V);
       if (Bound.insert(V).second)
         Added.insert(V);
     }
     collectVars(F.body(), WithBound, Bound, Out);
-    for (VarId V : Added.ids())
+    for (VarId V : Added)
       Bound.erase(V);
     return;
   }
@@ -203,13 +203,12 @@ VarSet Formula::vars() const {
   return Out;
 }
 
-std::string omega::freshName(const std::string &Stem, VarSet &Used) {
+VarId omega::freshVar(const std::string &Stem, VarSet &Used) {
+  // A member of Used is interned already, so only the answer is new.
   for (unsigned N = 0;; ++N) {
-    std::string Name = Stem + std::to_string(N);
-    if (!Used.contains(Name)) {
-      Used.insert(Name);
-      return Name;
-    }
+    VarId V = internVar(Stem + std::to_string(N));
+    if (Used.insert(V).second)
+      return V;
   }
 }
 
@@ -290,10 +289,10 @@ static void printFormula(std::ostream &OS, const Formula &F) {
   case FormulaKind::Forall: {
     OS << (F.kind() == FormulaKind::Exists ? "exists(" : "forall(");
     bool First = true;
-    for (const std::string &V : F.quantified()) {
+    for (VarId V : F.quantified()) {
       if (!First)
         OS << ", ";
-      OS << V;
+      OS << varName(V);
       First = false;
     }
     OS << ": ";

@@ -96,11 +96,11 @@ private:
 
 std::ostream &operator<<(std::ostream &OS, const Formula &F);
 
-/// Returns \p Stem followed by the least number that names no member of
-/// \p Used, and adds that name to \p Used.  A binder built over formulas
-/// takes its name from here, with \p Used holding every name they mention
-/// or bind, so it captures nothing.
-std::string freshName(const std::string &Stem, VarSet &Used);
+/// Returns the variable named \p Stem followed by the least number that
+/// names no member of \p Used, and adds it to \p Used.  A binder built over
+/// formulas takes its variable from here, with \p Used holding every
+/// variable they mention or bind, so it captures nothing.
+VarId freshVar(const std::string &Stem, VarSet &Used);
 
 } // namespace omega
 

@@ -290,7 +290,7 @@ private:
           fail("expected variable name");
           return std::nullopt;
         }
-        Vars.insert(advance().Text);
+        Vars.insert(internVar(advance().Text));
       } while (accept(TokKind::Comma));
       if (!expect(TokKind::Colon, "':' after quantified variables"))
         return std::nullopt;

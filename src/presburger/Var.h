@@ -16,11 +16,12 @@
 ///     the high role bit plus n, so a wildcard has no table entry).
 ///
 /// VarSet and Assignment are flat id vectors: a VarSet is sorted by *name*
-/// (so iteration order — the observable order everywhere clauses print or
-/// canonically sort — is identical to the std::set<std::string> it
-/// replaces), while an Assignment is sorted by *id* (so evaluation is a
-/// merge-join with AffineExpr's id-sorted terms).  String-taking methods
-/// remain as thin interning shims for the parser, tools, and tests.
+/// (so iteration order is the observable order everywhere clauses print or
+/// canonically sort), while an Assignment is sorted by *id* (so evaluation
+/// is a merge-join with AffineExpr's id-sorted terms).  Both iterate and
+/// look up by VarId only.  Names come in at the boundary alone: a VarSet
+/// built from names, and an Assignment built or bound by name, intern
+/// them (DESIGN.md §16); every query works on ids from there on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,80 +32,41 @@
 #include "support/BigInt.h"
 
 #include <initializer_list>
-#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace omega {
 
 /// Deterministically ordered set of variables: a flat vector of VarIds
-/// sorted by variable *name*.  Iterators dereference to the name, so code
-/// written against std::set<std::string> (range-for over names, count/
-/// insert/erase by name, std::includes) keeps working; id-based accessors
-/// provide the allocation-free fast paths.
+/// sorted by variable *name*, so iteration order is the observable order
+/// everywhere clauses print or canonically sort.  Lookups binary-search
+/// that order with compareVarNames, which reads names lock-free.
 class VarSet {
 public:
-  using value_type = std::string;
-
-  class iterator {
-  public:
-    using iterator_category = std::bidirectional_iterator_tag;
-    using value_type = std::string;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const std::string *;
-    using reference = const std::string &;
-
-    iterator() = default;
-    const std::string &operator*() const { return varName(*P); }
-    const std::string *operator->() const { return &varName(*P); }
-    iterator &operator++() {
-      ++P;
-      return *this;
-    }
-    iterator operator++(int) {
-      iterator T = *this;
-      ++P;
-      return T;
-    }
-    iterator &operator--() {
-      --P;
-      return *this;
-    }
-    iterator operator--(int) {
-      iterator T = *this;
-      --P;
-      return T;
-    }
-    /// The interned id at this position (fast-path accessor).
-    VarId id() const { return *P; }
-    friend bool operator==(iterator L, iterator R) { return L.P == R.P; }
-    friend bool operator!=(iterator L, iterator R) { return L.P != R.P; }
-
-  private:
-    explicit iterator(const VarId *P) : P(P) {}
-    const VarId *P = nullptr;
-    friend class VarSet;
-  };
+  using value_type = VarId;
+  using iterator = std::vector<VarId>::const_iterator;
   using const_iterator = iterator;
-  using reverse_iterator = std::reverse_iterator<iterator>;
-  using const_reverse_iterator = reverse_iterator;
 
   VarSet() = default;
   VarSet(std::initializer_list<std::string> Names) {
     for (const std::string &N : Names)
-      insert(N);
+      insert(internVar(N));
   }
+  /// From a range of names (interned) or of VarIds.
   template <typename It> VarSet(It First, It Last) {
-    for (; First != Last; ++First)
-      insert(*First);
+    for (; First != Last; ++First) {
+      if constexpr (std::is_convertible_v<decltype(*First), VarId>)
+        insert(*First);
+      else
+        insert(internVar(*First));
+    }
   }
 
-  iterator begin() const { return iterator(Ids.data()); }
-  iterator end() const { return iterator(Ids.data() + Ids.size()); }
-  reverse_iterator rbegin() const { return reverse_iterator(end()); }
-  reverse_iterator rend() const { return reverse_iterator(begin()); }
+  iterator begin() const { return Ids.begin(); }
+  iterator end() const { return Ids.end(); }
 
   bool empty() const { return Ids.empty(); }
   size_t size() const { return Ids.size(); }
@@ -113,13 +75,10 @@ public:
 
   std::pair<iterator, bool> insert(VarId V) {
     size_t Pos = lowerBoundPos(V);
-    if (Pos < Ids.size() && Ids[Pos] == V)
-      return {iterator(Ids.data() + Pos), false};
-    Ids.insert(Ids.begin() + static_cast<std::ptrdiff_t>(Pos), V);
-    return {iterator(Ids.data() + Pos), true};
-  }
-  std::pair<iterator, bool> insert(const std::string &Name) {
-    return insert(internVar(Name));
+    auto At = Ids.begin() + static_cast<std::ptrdiff_t>(Pos);
+    if (Pos < Ids.size() && *At == V)
+      return {At, false};
+    return {Ids.insert(At, V), true};
   }
   template <typename It> void insert(It First, It Last) {
     for (; First != Last; ++First)
@@ -133,39 +92,12 @@ public:
     Ids.erase(Ids.begin() + static_cast<std::ptrdiff_t>(Pos));
     return 1;
   }
-  size_t erase(const std::string &Name) {
-    VarId V = lookupVar(Name);
-    return V.valid() ? erase(V) : 0;
-  }
-  iterator erase(iterator It) {
-    size_t Pos = static_cast<size_t>(It.P - Ids.data());
-    Ids.erase(Ids.begin() + static_cast<std::ptrdiff_t>(Pos));
-    return iterator(Ids.data() + Pos);
-  }
+  iterator erase(iterator It) { return Ids.erase(It); }
 
   bool contains(VarId V) const {
     size_t Pos = lowerBoundPos(V);
     return Pos < Ids.size() && Ids[Pos] == V;
   }
-  bool contains(const std::string &Name) const {
-    VarId V = lookupVar(Name);
-    return V.valid() && contains(V);
-  }
-  size_t count(VarId V) const { return contains(V) ? 1 : 0; }
-  size_t count(const std::string &Name) const { return contains(Name) ? 1 : 0; }
-
-  iterator find(const std::string &Name) const {
-    VarId V = lookupVar(Name);
-    if (!V.valid())
-      return end();
-    size_t Pos = lowerBoundPos(V);
-    if (Pos >= Ids.size() || Ids[Pos] != V)
-      return end();
-    return iterator(Ids.data() + Pos);
-  }
-
-  /// The underlying name-sorted id vector (fast-path iteration).
-  const std::vector<VarId> &ids() const { return Ids; }
 
   /// Superset test: true iff every member of \p Sub is in this set.
   /// Two-pointer walk over the shared name order; compares names only to
@@ -243,6 +175,7 @@ public:
                  BigInt(0))
         ->second;
   }
+  /// Binds a user name (interned): for callers at the parser boundary.
   BigInt &operator[](const std::string &Name) {
     return (*this)[internVar(Name)];
   }
@@ -262,40 +195,8 @@ public:
       return *P;
     throw std::out_of_range("Assignment::at: unbound variable");
   }
-  const BigInt &at(const std::string &Name) const {
-    VarId V = lookupVar(Name);
-    if (V.valid())
-      if (const BigInt *P = lookup(V))
-        return *P;
-    throw std::out_of_range("Assignment::at: unbound variable " + Name);
-  }
 
-  const_iterator find(VarId V) const {
-    size_t Pos = lowerBoundPos(V);
-    if (Pos < Entries.size() && Entries[Pos].first == V)
-      return Entries.begin() + static_cast<std::ptrdiff_t>(Pos);
-    return Entries.end();
-  }
-  const_iterator find(const std::string &Name) const {
-    VarId V = lookupVar(Name);
-    return V.valid() ? find(V) : Entries.end();
-  }
-  iterator find(VarId V) {
-    size_t Pos = lowerBoundPos(V);
-    if (Pos < Entries.size() && Entries[Pos].first == V)
-      return Entries.begin() + static_cast<std::ptrdiff_t>(Pos);
-    return Entries.end();
-  }
-  iterator find(const std::string &Name) {
-    VarId V = lookupVar(Name);
-    return V.valid() ? find(V) : Entries.end();
-  }
 
-  size_t count(VarId V) const { return lookup(V) ? 1 : 0; }
-  size_t count(const std::string &Name) const {
-    VarId V = lookupVar(Name);
-    return V.valid() && lookup(V) ? 1 : 0;
-  }
 
   /// Inserts (V, Value) if V is unbound; returns (position, inserted).
   std::pair<iterator, bool> emplace(VarId V, BigInt Value) {
@@ -306,9 +207,6 @@ public:
                                 static_cast<std::ptrdiff_t>(Pos),
                             V, std::move(Value)),
             true};
-  }
-  std::pair<iterator, bool> emplace(const std::string &Name, BigInt Value) {
-    return emplace(internVar(Name), std::move(Value));
   }
   /// Range insert (std::map compatible): keeps existing bindings.
   template <typename It> void insert(It First, It Last) {
@@ -322,10 +220,6 @@ public:
       return 0;
     Entries.erase(Entries.begin() + static_cast<std::ptrdiff_t>(Pos));
     return 1;
-  }
-  size_t erase(const std::string &Name) {
-    VarId V = lookupVar(Name);
-    return V.valid() ? erase(V) : 0;
   }
 
   friend bool operator==(const Assignment &L, const Assignment &R) {

@@ -14,9 +14,12 @@
 ///
 /// Invariant: equal names have equal ids and vice versa, process-wide, for
 /// the lifetime of the process.  The table is append-only; `varName()` is
-/// lock-free (ids are only handed out after their entry is published), and
-/// `internVar()` takes a mutex but only runs at the boundary — the parser
-/// and the string-taking API shims.
+/// lock-free (ids are only handed out after their entry is published).
+/// `internVar()` and `lookupVar()` take a mutex, so only the boundary calls
+/// them: the parser, the name constructors of Var.h, AffineExpr and
+/// QuasiPolynomial, and the tools.  A query works on ids alone; the
+/// omegatidy `name-lookup` rule keeps both out of src/omega/,
+/// src/counting/ and src/poly/.
 ///
 /// Determinism note: id *numeric order* is interning order, which under
 /// concurrent queries (omegad sessions) depends on thread scheduling, and

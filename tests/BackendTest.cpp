@@ -84,8 +84,8 @@ TEST(BackendExamples, AllGoldenFormulasAgree) {
     Formula F = parse(FF.FormulaText);
     VarSet Counted(FF.Vars.begin(), FF.Vars.end());
     bool Symbolic = false;
-    for (const std::string &V : F.freeVars())
-      Symbolic |= !Counted.count(V);
+    for (VarId V : F.freeVars())
+      Symbolic |= !Counted.contains(V);
 
     if (!Symbolic) {
       expectAllAgree(FF.FormulaText, FF.Vars);

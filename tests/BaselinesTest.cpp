@@ -40,6 +40,17 @@ TEST(EnumeratorTest, QuantifiersInBox) {
   EXPECT_FALSE(evaluateInBox(G, A, -4, 4));
 }
 
+TEST(EnumeratorTest, QuantifierRestoresShadowedBinding) {
+  // The bound x shadows the free x; after the witness search the outer
+  // x = 5 must be back in place for the right conjunct.
+  Formula F = parseFormulaOrDie("exists(x: 0 <= x <= 2) && x <= 3");
+  Assignment A{{"x", BigInt(5)}};
+  EXPECT_FALSE(evaluateInBox(F, A, -4, 4));
+  const BigInt *X = A.lookup(internVar("x"));
+  ASSERT_NE(X, nullptr);
+  EXPECT_EQ(*X, BigInt(5));
+}
+
 TEST(EnumeratorTest, SimplifyThenEvaluateEscapesWitnessBox) {
   // The witness for i = 5k at i = 20 is k = 4, outside the [-2, 2] witness
   // box.  A raw box search would miss it; the oracle now eliminates the

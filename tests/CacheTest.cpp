@@ -130,10 +130,10 @@ TEST(CanonicalKey, InfeasibleCollapsesToUnsat) {
 TEST(CanonicalKey, UnusedWildcardsDropOut) {
   Conjunct A, B;
   A.add(Constraint::ge(var("x") - var("'w0")));
-  A.addWildcard("'w0");
-  A.addWildcard("'w1"); // mentioned nowhere
+  A.addWildcard(internVar("'w0"));
+  A.addWildcard(internVar("'w1")); // mentioned nowhere
   B.add(Constraint::ge(var("x") - var("'w0")));
-  B.addWildcard("'w0");
+  B.addWildcard(internVar("'w0"));
   EXPECT_EQ(canonicalConjunct(A).Key, canonicalConjunct(B).Key);
   // But a *used* wildcard is part of the key: dropping it changes meaning.
   Conjunct C;

@@ -235,7 +235,7 @@ TEST(Coalesce, WildcardedClausesAreExcluded) {
   Conjunct A, B, W;
   addRange(A, "x", 1, 4);
   addRange(B, "x", 5, 9);
-  W.addWildcard("w");
+  W.addWildcard(internVar("w"));
   W.add(Constraint::eq(var("x") - BigInt(2) * var("w")));
   addRange(W, "x", 40, 60);
   std::string WText = W.toString();

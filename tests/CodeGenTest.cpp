@@ -22,7 +22,7 @@ std::set<std::vector<int64_t>> visited(const GeneratedScan &Scan,
   for (const Assignment &P : runScan(Scan, Params)) {
     std::vector<int64_t> T;
     for (const std::string &V : Order)
-      T.push_back(P.at(V).toInt64());
+      T.push_back(P.at(internVar(V)).toInt64());
     Out.insert(std::move(T));
   }
   return Out;

@@ -48,8 +48,7 @@ Rational enumerate(const Formula &F, const std::vector<std::string> &Vars,
         return !eval(F.children()[0], A);
       case FormulaKind::Exists:
       case FormulaKind::Forall: {
-        std::vector<std::string> Qs(F.quantified().begin(),
-                                    F.quantified().end());
+        std::vector<VarId> Qs(F.quantified().begin(), F.quantified().end());
         bool IsEx = F.kind() == FormulaKind::Exists;
         std::vector<int64_t> Vals(Qs.size(), WLo);
         bool Result = !IsEx;
@@ -71,7 +70,7 @@ Rational enumerate(const Formula &F, const std::vector<std::string> &Vars,
           if (I == Vals.size())
             break;
         }
-        for (const std::string &Q : Qs)
+        for (VarId Q : Qs)
           A.erase(Q);
         return Result;
       }

@@ -149,6 +149,36 @@ TEST(Determinism, AnswersIndependentOfWildcardHistory) {
   }
 }
 
+/// Atoms order by name, never by id (DESIGN.md §16): the atoms of a
+/// monomial, and so the printed answer, must not follow the order in which
+/// the symbols were interned.  Two fresh symbol pairs, one interned in
+/// alphabetical order and one in reverse, count the same formula with a
+/// two-symbol monomial and a mod atom; renamed onto each other, the answers
+/// print the same.
+TEST(Determinism, AtomOrderIndependentOfInterningOrder) {
+  const std::string Fwd = "atomorder_fwd_", Rev = "atomorder_rev_";
+  (void)internVar(Fwd + "m");
+  (void)internVar(Fwd + "n");
+  (void)internVar(Rev + "n");
+  (void)internVar(Rev + "m");
+  auto Printed = [](const std::string &Stem) {
+    ParseResult R = parseFormula("1 <= i <= " + Stem + "n && 1 <= j <= " +
+                                 Stem + "m && 2 | i");
+    EXPECT_TRUE(R) << R.Error;
+    CountOptions Opts;
+    Opts.Strategy = BoundStrategy::SymbolicMod;
+    std::string Out =
+        countSolutions(*R.Value, {"i", "j"}, Opts).Value.toString();
+    for (size_t At; (At = Out.find(Stem)) != std::string::npos;)
+      Out.replace(At, Stem.size(), "s_");
+    return Out;
+  };
+  const std::string Answer = Printed(Fwd);
+  EXPECT_NE(Answer.find("s_m*s_n"), std::string::npos) << Answer;
+  EXPECT_NE(Answer.find("mod 2"), std::string::npos) << Answer;
+  EXPECT_EQ(Printed(Rev), Answer);
+}
+
 /// The symbol table holds user symbols only (DESIGN.md §16): a wildcard's
 /// id is its name, so neither parsing a floor/ceil/mod nor counting
 /// interns anything.  A stream of distinct queries therefore grows the

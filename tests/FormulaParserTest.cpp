@@ -68,7 +68,7 @@ TEST(NonLinearTest, FloorLoweringSemantics) {
   // For e = 7 and c = 3, the unique witness is alpha = 2.
   LoweredExpr L = lowerFloor(var("n"), BigInt(3), wildcardVar(0));
   ASSERT_EQ(L.Side.wildcards().size(), 1u);
-  std::string Alpha = *L.Side.wildcards().begin();
+  std::string Alpha = varName(*L.Side.wildcards().begin());
   for (int64_t N = -10; N <= 10; ++N) {
     int64_t Expected = N >= 0 ? N / 3 : (N - 2) / 3;
     int Witnesses = 0;
@@ -89,8 +89,8 @@ TEST(NonLinearTest, FloorLoweringSemantics) {
 TEST(NonLinearTest, CeilAndModSemantics) {
   LoweredExpr Ceil = lowerCeil(var("n"), BigInt(4), wildcardVar(0));
   LoweredExpr Mod = lowerMod(var("n"), BigInt(4), wildcardVar(1));
-  std::string B = *Ceil.Side.wildcards().begin();
-  std::string G = *Mod.Side.wildcards().begin();
+  std::string B = varName(*Ceil.Side.wildcards().begin());
+  std::string G = varName(*Mod.Side.wildcards().begin());
   for (int64_t N = -9; N <= 9; ++N) {
     int64_t ExpCeil = (N >= 0 ? (N + 3) / 4 : N / 4);
     int64_t ExpMod = ((N % 4) + 4) % 4;

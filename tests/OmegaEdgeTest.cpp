@@ -57,7 +57,7 @@ TEST(OmegaEdgeTest, LargeStrideFeasibility) {
   EXPECT_TRUE(feasible(C));
   std::optional<Assignment> P = samplePoint(C);
   ASSERT_TRUE(P.has_value());
-  EXPECT_TRUE(Mod.divides(P->at("x") - BigInt(1)));
+  EXPECT_TRUE(Mod.divides(P->at(internVar("x")) - BigInt(1)));
 }
 
 TEST(OmegaEdgeTest, GistAgainstInfeasibleContext) {
@@ -144,7 +144,8 @@ TEST(OmegaEdgeTest, MakeDisjointDegenerateInputs) {
 TEST(OmegaEdgeTest, RenameFreeVarsRespectsShadowing) {
   // In exists(x: x = y), renaming x must not touch the bound x.
   Formula F = parseFormulaOrDie("exists(x: x = y && x >= 0)");
-  Formula R = renameFreeVars(F, {{"x", "z"}, {"y", "w"}});
+  Formula R = renameFreeVars(F, {{internVar("x"), internVar("z")},
+                                 {internVar("y"), internVar("w")}});
   VarSet Free = R.freeVars();
   EXPECT_EQ(Free, VarSet{"w"});
 }

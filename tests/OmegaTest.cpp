@@ -47,8 +47,7 @@ bool evalBox(const Formula &F, Assignment &A, int64_t Lo, int64_t Hi) {
     return !evalBox(F.children()[0], A, Lo, Hi);
   case FormulaKind::Exists:
   case FormulaKind::Forall: {
-    std::vector<std::string> Vars(F.quantified().begin(),
-                                  F.quantified().end());
+    std::vector<VarId> Vars(F.quantified().begin(), F.quantified().end());
     bool IsExists = F.kind() == FormulaKind::Exists;
     // Enumerate assignments to the quantified variables.
     std::vector<int64_t> Vals(Vars.size(), Lo);
@@ -66,7 +65,7 @@ bool evalBox(const Formula &F, Assignment &A, int64_t Lo, int64_t Hi) {
       if (I == Vals.size())
         break;
     }
-    for (const std::string &V : Vars)
+    for (VarId V : Vars)
       A.erase(V);
     return !IsExists;
   }
@@ -279,7 +278,7 @@ TEST(GistTest, PaperContract) {
   Q.add(Constraint::ge(var("x") - AffineExpr(5)));
   Conjunct G = gist(P, Q);
   ASSERT_EQ(G.constraints().size(), 1u);
-  EXPECT_EQ(G.constraints()[0].expr().coeff("x").toInt64(), -1);
+  EXPECT_EQ(G.constraints()[0].expr().coeff(internVar("x")).toInt64(), -1);
 }
 
 TEST(GistTest, RandomContract) {
@@ -345,7 +344,7 @@ void expectEquivalent(const char *Text, int64_t Lo, int64_t Hi,
   if (Opts.Disjoint)
     EXPECT_TRUE(pairwiseDisjoint(D)) << Text;
   VarSet Free = F.freeVars();
-  std::vector<std::string> Vars(Free.begin(), Free.end());
+  std::vector<VarId> Vars(Free.begin(), Free.end());
   std::vector<int64_t> Vals(Vars.size(), Lo);
   while (true) {
     Assignment A;

@@ -145,6 +145,30 @@ TEST(Omegatidy, StringKeyedVariableContainers) {
                   .empty());
 }
 
+TEST(Omegatidy, NameLookupInQueryEngine) {
+  const std::string Code = "VarId V = lookupVar(Name);\n";
+  EXPECT_EQ(rulesOf(lint("src/counting/Summation.cpp", Code)),
+            std::vector<std::string>{"name-lookup"});
+  EXPECT_EQ(rulesOf(lint("src/omega/Project.cpp",
+                         "auto V = omega::internVar(\"i\");\n")),
+            std::vector<std::string>{"name-lookup"});
+  EXPECT_TRUE(hasRule(lint("src/poly/QuasiPolynomial.cpp",
+                           "Atom::symbol(internVar(N));\n"),
+                      "name-lookup"));
+  // A boundary constructor says so.
+  EXPECT_TRUE(lint("src/poly/QuasiPolynomial.cpp",
+                   "return variable(internVar(Name)); "
+                   "// omegatidy: allow(name-lookup)\n")
+                  .empty());
+  // The parser, the Var boundary, tools and tests intern user names.
+  EXPECT_TRUE(lint("src/presburger/Parser.cpp", Code).empty());
+  EXPECT_TRUE(lint("src/apps/CodeGen.cpp", Code).empty());
+  EXPECT_TRUE(lint("tools/omegacount.cpp", Code).empty());
+  EXPECT_TRUE(lint("tests/CountingTest.cpp", Code).empty());
+  // Only the identifiers themselves, not names that contain them.
+  EXPECT_TRUE(lint("src/counting/S.cpp", "int lookupVarCount = 0;\n").empty());
+}
+
 TEST(Omegatidy, RawSynchronizationTypesFlagged) {
   for (const char *Bad :
        {"std::mutex M;\n", "std::lock_guard<std::mutex> L(M);\n",

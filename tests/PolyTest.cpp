@@ -65,7 +65,7 @@ TEST(AtomTest, Evaluate) {
   EXPECT_EQ(M.evaluate({{"n", BigInt(7)}}).toInt64(), 3);
   EXPECT_EQ(M.evaluate({{"n", BigInt(-1)}}).toInt64(), 3);
   EXPECT_EQ(M.evaluate({{"n", BigInt(8)}}).toInt64(), 0);
-  Atom S = Atom::symbol("n");
+  Atom S = Atom::symbol(internVar("n"));
   EXPECT_EQ(S.evaluate({{"n", BigInt(5)}}).toInt64(), 5);
 }
 
@@ -86,23 +86,23 @@ TEST(QuasiPolynomialTest, CoefficientsOf) {
   // 3v^2*n + v - 7, coefficients in v.
   QuasiPolynomial P = var("v") * var("v") * var("n") * rat(3) + var("v") -
                       QuasiPolynomial(rat(7));
-  std::vector<QuasiPolynomial> C = P.coefficientsOf("v");
+  std::vector<QuasiPolynomial> C = P.coefficientsOf(internVar("v"));
   ASSERT_EQ(C.size(), 3u);
   EXPECT_EQ(C[0], QuasiPolynomial(rat(-7)));
   EXPECT_EQ(C[1], QuasiPolynomial(rat(1)));
   EXPECT_EQ(C[2], var("n") * rat(3));
-  EXPECT_EQ(P.degreeIn("v"), 2u);
-  EXPECT_EQ(P.degreeIn("w"), 0u);
+  EXPECT_EQ(P.degreeIn(internVar("v")), 2u);
+  EXPECT_EQ(P.degreeIn(internVar("w")), 0u);
 }
 
 TEST(QuasiPolynomialTest, Substitute) {
   // v := n + 1 in v^2 gives (n+1)^2.
   QuasiPolynomial P = var("v") * var("v");
-  P.substitute("v", var("n") + QuasiPolynomial(rat(1)));
+  P.substitute(internVar("v"), var("n") + QuasiPolynomial(rat(1)));
   EXPECT_EQ(P, QuasiPolynomial::pow(var("n") + QuasiPolynomial(rat(1)), 2));
   // Substitution with rational coefficients.
   QuasiPolynomial Q = var("v");
-  Q.substitute("v", var("n") * rat(1, 2));
+  Q.substitute(internVar("v"), var("n") * rat(1, 2));
   EXPECT_EQ(Q.evaluate({{"n", BigInt(4)}}), rat(2));
 }
 

@@ -14,6 +14,14 @@ namespace {
 
 Rational rat(long long N) { return Rational(BigInt(N)); }
 
+/// Tuple variables by name, as the assertions spell them.
+std::vector<std::string> names(const std::vector<VarId> &Vars) {
+  std::vector<std::string> Out;
+  for (VarId V : Vars)
+    Out.push_back(varName(V));
+  return Out;
+}
+
 /// {[x] -> [y] : y = x + K, 1 <= x <= n}.
 Relation shift(int64_t K) {
   Formula F = parseFormulaOrDie("y = x + " + std::to_string(K) +
@@ -24,8 +32,8 @@ Relation shift(int64_t K) {
 TEST(RelationTest, InverseSwapsTuples) {
   Relation R = shift(2);
   Relation Inv = R.inverse();
-  EXPECT_EQ(Inv.inputs(), std::vector<std::string>{"y"});
-  EXPECT_EQ(Inv.outputs(), std::vector<std::string>{"x"});
+  EXPECT_EQ(names(Inv.inputs()), std::vector<std::string>{"y"});
+  EXPECT_EQ(names(Inv.outputs()), std::vector<std::string>{"x"});
   // (3, 5) in R  <=>  (5, 3) in Inv: compare counts per input.
   PiecewiseValue Fwd = R.countOutputsPerInput();
   Assignment A{{"x", BigInt(3)}, {"n", BigInt(10)}};
@@ -149,8 +157,8 @@ TEST(RelationTest, ComposeCapturesNothingEitherWay) {
 /// R's pair count at \p Symbols, checked against the enumerator.
 int64_t checkedPairs(const Relation &R, const Assignment &Symbols) {
   BigInt Got = R.countPairs().evaluateInt(Symbols);
-  EXPECT_EQ(Got, enumerateCount(R.body(), R.tuple(), Symbols, -12, 12, -12,
-                                12))
+  EXPECT_EQ(Got, enumerateCount(R.body(), names(R.tuple()), Symbols, -12,
+                                12, -12, 12))
       << R.toString();
   return Got.toInt64();
 }
@@ -162,8 +170,8 @@ TEST(RelationTest, IntersectWithBinderNamedLikeATupleLabel) {
   Relation B({"z"}, {"w"},
              parseFormulaOrDie("exists(x: w = z + x && x = 0) && 0 <= z <= 3"));
   Relation I = A.intersect(B);
-  EXPECT_EQ(I.inputs(), std::vector<std::string>{"x"});
-  EXPECT_EQ(I.outputs(), std::vector<std::string>{"y"});
+  EXPECT_EQ(names(I.inputs()), std::vector<std::string>{"x"});
+  EXPECT_EQ(names(I.outputs()), std::vector<std::string>{"y"});
   EXPECT_EQ(checkedPairs(I, {}), 4);
 }
 
@@ -184,10 +192,10 @@ TEST(RelationTest, ComposeWithOwnInverse) {
   Relation R = shift(1);
   Relation Back = R.inverse().compose(R);
   Relation Forth = R.compose(R.inverse());
-  EXPECT_EQ(Back.inputs(), std::vector<std::string>{"x"});
-  EXPECT_EQ(Back.outputs(), std::vector<std::string>{"x0"});
-  EXPECT_EQ(Forth.inputs(), std::vector<std::string>{"y"});
-  EXPECT_EQ(Forth.outputs(), std::vector<std::string>{"y0"});
+  EXPECT_EQ(names(Back.inputs()), std::vector<std::string>{"x"});
+  EXPECT_EQ(names(Back.outputs()), std::vector<std::string>{"x0"});
+  EXPECT_EQ(names(Forth.inputs()), std::vector<std::string>{"y"});
+  EXPECT_EQ(names(Forth.outputs()), std::vector<std::string>{"y0"});
   for (int64_t N = 0; N <= 6; ++N) {
     Assignment At{{"n", BigInt(N)}};
     EXPECT_EQ(checkedPairs(Back, At), N) << N;
@@ -212,7 +220,7 @@ TEST(RelationTest, ComposeLabelThatIsASymbolOfTheOtherIsFreshened) {
   Relation Other({"n"}, {"y"}, parseFormulaOrDie("y = n && 0 <= n <= 4"));
   Relation This({"y"}, {"z"}, parseFormulaOrDie("z = y && y <= n"));
   Relation C = This.compose(Other);
-  EXPECT_EQ(C.inputs(), std::vector<std::string>{"n0"});
+  EXPECT_EQ(names(C.inputs()), std::vector<std::string>{"n0"});
   for (int64_t N = -1; N <= 6; ++N)
     EXPECT_EQ(checkedPairs(C, {{"n", BigInt(N)}}),
               std::max<int64_t>(0, std::min<int64_t>(N, 4) + 1))

@@ -28,6 +28,7 @@
 
 using omega::AffineExpr;
 using omega::BigInt;
+using omega::internVar;
 using omega::VarId;
 
 namespace {
@@ -142,7 +143,7 @@ Pair randomPair(std::mt19937 &Rng) {
   for (size_t I = 0; I < Count; ++I) {
     const std::string &Name = roster()[I];
     BigInt C(CoefDist(Rng));
-    P.Flat.setCoeff(Name, C);
+    P.Flat.setCoeff(internVar(Name), C);
     P.Ref.setCoeff(Name, C);
   }
   return P;
@@ -204,17 +205,17 @@ TEST(TermStorageTest, DifferentialRandomOps) {
           roster()[(VarDist(Rng) + 1) % roster().size()];
       if (Other != Target) {
         BigInt C(CoefDist(Rng));
-        Rep.Flat.setCoeff(Other, C);
+        Rep.Flat.setCoeff(internVar(Other), C);
         Rep.Ref.setCoeff(Other, C);
       }
-      P.Flat.substitute(Target, Rep.Flat);
+      P.Flat.substitute(internVar(Target), Rep.Flat);
       P.Ref.substitute(Target, Rep.Ref);
       break;
     }
     default: { // point coefficient write (including zero = erase)
       const std::string &Name = roster()[VarDist(Rng)];
       BigInt C(CoefDist(Rng));
-      P.Flat.setCoeff(Name, C);
+      P.Flat.setCoeff(internVar(Name), C);
       P.Ref.setCoeff(Name, C);
       break;
     }
@@ -246,12 +247,12 @@ TEST(TermStorageTest, InlineSpillBoundary) {
   EXPECT_TRUE(E.isInlineRep());
   // Terms 1..InlineCapacity stay in the inline buffer.
   for (uint32_t I = 0; I < AffineExpr::InlineCapacity; ++I) {
-    E.setCoeff(roster()[I], BigInt(int(I) + 1));
+    E.setCoeff(internVar(roster()[I]), BigInt(int(I) + 1));
     EXPECT_TRUE(E.isInlineRep()) << "term " << I + 1;
   }
   uint64_t SpillsBefore = omega::exprCounters().Spills.load();
   // Term InlineCapacity+1 spills to the heap, exactly once.
-  E.setCoeff(roster()[AffineExpr::InlineCapacity], BigInt(99));
+  E.setCoeff(internVar(roster()[AffineExpr::InlineCapacity]), BigInt(99));
   EXPECT_FALSE(E.isInlineRep());
   EXPECT_EQ(omega::exprCounters().Spills.load(), SpillsBefore + 1);
   EXPECT_EQ(E.numVars(), AffineExpr::InlineCapacity + 1);
@@ -259,7 +260,7 @@ TEST(TermStorageTest, InlineSpillBoundary) {
   // Shrinking back to InlineCapacity keeps the heap array (no shuffle on
   // the hot path), but a copy re-inlines: the copy constructor sizes to
   // the live term count, not the source capacity.
-  E.setCoeff(roster()[AffineExpr::InlineCapacity], BigInt(0));
+  E.setCoeff(internVar(roster()[AffineExpr::InlineCapacity]), BigInt(0));
   EXPECT_FALSE(E.isInlineRep());
   EXPECT_EQ(E.numVars(), AffineExpr::InlineCapacity);
   AffineExpr Copy(E);

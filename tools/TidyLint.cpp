@@ -273,6 +273,9 @@ private:
     const bool IsAnnotations = RelPath == "src/support/ThreadAnnotations.h";
     const bool IsTrace = RelPath == "src/support/Trace.h" ||
                          RelPath == "src/support/Trace.cpp";
+    const bool NameFree = startsWith(RelPath, "src/omega/") ||
+                          startsWith(RelPath, "src/counting/") ||
+                          startsWith(RelPath, "src/poly/");
 
     static const char *RawSync[] = {
         "std::mutex",          "std::timed_mutex",
@@ -339,6 +342,16 @@ private:
                  "intern names into VarId (presburger/VarTable.h) and key "
                  "on ids (DESIGN.md §16)");
       }
+
+      // Past the parser a variable is its VarId.  A name lookup in the
+      // Omega core, the counting engine or the value domain would put the
+      // symbol table's intern mutex on a query's path.
+      if (NameFree && (T.Text == "lookupVar" || T.Text == "internVar" ||
+                       endsWith(T.Text, "::lookupVar") ||
+                       endsWith(T.Text, "::internVar")))
+        report(T, "name-lookup",
+               T.Text + " in the query engine takes the symbol-table "
+               "mutex; pass VarIds in from the boundary (DESIGN.md §16)");
 
       if (!IsTrace &&
           (T.Text == "TraceSpan" || endsWith(T.Text, "::TraceSpan")) && Nx &&

@@ -29,6 +29,11 @@
 ///                    boundary (presburger/Parser.*, presburger/Var*) —
 ///                    variable valuations intern names into VarId
 ///                    (presburger/VarTable.h) and key on ids.
+///   name-lookup      no lookupVar/internVar in src/omega/, src/counting/
+///                    or src/poly/: a query works on VarIds, and a name
+///                    lookup takes the symbol table's intern mutex.  The
+///                    name-taking boundary constructors there carry an
+///                    allow comment.
 ///   trace-span-temp  no unnamed-temporary TraceSpan: `TraceSpan("x");`
 ///                    dies immediately and times nothing.
 ///   header-guard     .h guards must spell the path: src/support/Cache.h

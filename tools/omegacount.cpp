@@ -84,7 +84,7 @@ void requireBound(const PiecewiseValue &V, const Assignment &At) {
   for (const Piece &P : V.pieces()) {
     VarSet Symbols = P.Guard.freeVars();
     P.Value.collectVars(Symbols);
-    for (VarId S : Symbols.ids())
+    for (VarId S : Symbols)
       if (!At.lookup(S))
         fail("--at leaves symbol " + varName(S) + " unbound");
   }
@@ -314,7 +314,7 @@ int runTool(int Argc, char **Argv) {
       if (std::optional<Assignment> P = Set.sample(At)) {
         std::cout << "  sample:";
         for (const std::string &Name : Vars)
-          std::cout << " " << Name << "=" << P->at(Name);
+          std::cout << " " << Name << "=" << P->at(internVar(Name));
         std::cout << "\n";
       } else {
         std::cout << "  sample: <empty>\n";

@@ -86,7 +86,7 @@ const int64_t SymbolSamples[] = {0, 1, 2, 3, 5, 8};
 /// the cross-check cost bounded for formulas with many symbols.
 std::vector<Assignment> sampleAssignments(const VarSet &Symbols) {
   std::vector<Assignment> Out{Assignment{}};
-  for (const std::string &S : Symbols) {
+  for (VarId S : Symbols) {
     std::vector<Assignment> Next;
     for (const Assignment &A : Out)
       for (int64_t V : SymbolSamples) {
@@ -168,8 +168,8 @@ void lintFile(const std::string &Path, LintStats &Stats) {
 
   // Stage 5: cross-check against enumeration at sampled symbol values.
   VarSet Symbols;
-  for (const std::string &S : F.freeVars())
-    if (!Vars.count(S))
+  for (VarId S : F.freeVars())
+    if (!Vars.contains(S))
       Symbols.insert(S);
   int Agreed = 0, Checked = 0;
   for (const Assignment &At : sampleAssignments(Symbols)) {
